@@ -65,7 +65,7 @@ from .operators import (            # noqa: E402
     riesz_feller_symbol,
     spectral_apply,
 )
-from .reaction import BistableCubic, f_eval, f_prime, potential_gap  # noqa: E402
+from .reaction import BistableCubic  # noqa: E402
 from .runio import (                # noqa: E402
     RunConfig,
     read_config_file,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import estimate_decay_rate, estimate_speed, green_function
-from .errors import FracfrontError
+from .errors import FracfrontError, OutOfRangeError
 from .grids import FractionalParams, Grid1D
 from .operators import apply_riesz_feller
 from .runio import (
@@ -83,12 +83,12 @@ def _collect_run_config(parser: argparse.ArgumentParser,
 
 def _check_run_config(parser: argparse.ArgumentParser, config: RunConfig):
     """Bad-argument validation with messages naming the offending flag."""
-    if not 1.0 < config.alpha <= 2.0:
-        parser.error(f"--alpha: must lie in (1, 2], got {config.alpha}")
-    lim = min(config.alpha, 2.0 - config.alpha)
-    if abs(config.theta) > lim:
-        parser.error(f"--theta: must satisfy |theta| <= min(alpha, 2 - alpha)"
-                     f" = {lim:g}, got {config.theta}")
+    # theta = 0 is admissible for every admissible alpha
+    for flag, theta in (("--alpha", 0.0), ("--theta", config.theta)):
+        try:
+            FractionalParams(config.alpha, theta)
+        except OutOfRangeError as exc:
+            parser.error(f"{flag}: {exc}")
     if not 0.0 < config.a < 1.0:
         parser.error(f"--a: must lie in (0, 1), got {config.a}")
     if config.b <= 0:

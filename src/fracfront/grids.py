@@ -2,8 +2,10 @@
 
 The diffusion operator is identified by an order ``alpha`` and a skewness
 ``theta``.  Admissible pairs satisfy ``1 < alpha <= 2`` and
-``|theta| <= min(alpha, 2 - alpha)``; at ``alpha = 2`` the operator is the
-classical Laplacian and the skewness is forced to zero.
+``|theta| <= min(alpha, 2 - alpha)``, checked as ``alpha + |theta| <= 2`` in
+floating point so that decimal edges such as (1.1, 0.9) are admitted; at
+``alpha = 2`` the operator is the classical Laplacian and the skewness is
+forced to zero.
 
 The spatial grid covers ``[-b, b]`` with an odd number of nodes so that the
 origin is a node.  The singular-integral quadrature reuses the grid spacing:
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooSmallError, OutOfRangeError
+from .errors import GridTooSmallError, NonFiniteError, OutOfRangeError
 
 
 @dataclass(frozen=True)
@@ -31,11 +33,12 @@ class FractionalParams:
         if not 1.0 < self.alpha <= 2.0:
             raise OutOfRangeError(
                 f"alpha must lie in (1, 2], got {self.alpha}")
-        lim = min(self.alpha, 2.0 - self.alpha)
-        if abs(self.theta) > lim:
+        # min(alpha, 2 - alpha) = 2 - alpha for alpha > 1.  Compare the sum:
+        # 1.1 + 0.9 == 2.0, but 2.0 - 1.1 rounds below 0.9
+        if not self.alpha + abs(self.theta) <= 2.0:  # rejects NaN too
             raise OutOfRangeError(
-                f"theta must satisfy |theta| <= min(alpha, 2 - alpha) = {lim}, "
-                f"got {self.theta}")
+                f"theta must satisfy |theta| <= min(alpha, 2 - alpha), "
+                f"got {self.theta} at alpha = {self.alpha}")
 
     @property
     def is_classical(self) -> bool:
@@ -114,6 +117,5 @@ def validate_state(u: np.ndarray, grid: Grid1D) -> np.ndarray:
         raise OutOfRangeError(
             f"state has shape {u.shape}, grid expects ({grid.n},)")
     if not np.all(np.isfinite(u)):
-        from .errors import NonFiniteError
         raise NonFiniteError("state vector contains NaN or Inf")
     return u

@@ -12,7 +12,12 @@ where ``I[phi] = int_0^inf phi(xi) xi^(-1-alpha) dxi`` and
     c1 = Gamma(1+alpha) sin((alpha+theta) pi/2) / pi,
     c2 = Gamma(1+alpha) sin((alpha-theta) pi/2) / pi.
 
-Four backends live here:
+Each grid backend is one Toeplitz stencil, an ``OperatorMatrix``: weights
+``K[d]`` for the offsets ``|d| <= M`` plus the weight landing beyond the M
+ghost values, which folds onto the boundary nodes.  Its apply is one FFT
+correlation of the ghost-extended state, O(n log n); its dense matrix is
+built only for the implicit stepper's LU, so the adaptive stepper is
+matrix-free.  The stencils:
 
 * ``apply_riesz_feller`` / ``assemble_operator_matrix``: the primary scheme.
   Trapezoid quadrature of the singular integrals on the sub-mesh
@@ -27,23 +32,27 @@ Four backends live here:
 * ``grunwald_letnikov_apply``: shifted Grunwald-Letnikov differences,
   normalized by ``-1/(2 cos(alpha pi/2))`` so that the two-sided sum
   discretizes the symmetric (theta = 0) operator.  Cross-check backend.
-* ``spectral_apply``: exact multiplier on a periodic grid via the DFT.
-  Oracle backend.
 * ``classical_laplacian_apply``: second central difference, the alpha = 2
   endpoint where the integral coefficients degenerate.
+
+``spectral_apply`` is the exact multiplier on a periodic grid via the DFT:
+the oracle backend.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
+from scipy.linalg import lu_factor, toeplitz
 
 from .errors import (
     DegenerateCoefficientsError,
     NonFiniteError,
+    SingularSystemError,
     UnsupportedError,
 )
 from .grids import FractionalParams, Grid1D, quadrature_nodes_weights, validate_state
@@ -91,17 +100,105 @@ def _extend(u: np.ndarray, grid: Grid1D, ghosts: GhostPolicy, m: int) -> np.ndar
     return np.concatenate([left, u, right])
 
 
-def _scheme_constants(grid: Grid1D, params: FractionalParams):
-    """Shared quadrature sums of the primary scheme."""
+@dataclass(eq=False)
+class OperatorMatrix:
+    """A discrete operator on ``grid``, stored as its Toeplitz stencil.
+
+    ``weights[M + d]`` multiplies the value at offset ``d`` for ``|d| <= M``
+    (M < n; the centre entry is zero); ``far`` is the (left, right) weight
+    landing beyond the M ghost values, which folds onto the boundary nodes.
+    The diagonal is ``-row_sum``, so rows sum to zero and constants are
+    annihilated.  ``matvec`` applies the operator by FFT in O(n log n);
+    ``entries`` is the dense matrix under projection ghosts, built on first
+    use, and ``entries @ u`` equals ``matvec(u)`` to roundoff.  LU
+    factorizations of ``I - dt*entries`` are cached per dt for implicit
+    stepping.
+    """
+
+    grid: Grid1D
+    weights: np.ndarray
+    far: tuple[float, float] = (0.0, 0.0)
+    _lu_cache: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def row_sum(self) -> float:
+        """Total off-diagonal weight of a row."""
+        return float(np.sum(self.weights)) + self.far[0] + self.far[1]
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        # the correlation's valid part does not wrap once the transform
+        # covers the ghost-extended state
+        size = 1 << (self.grid.n + len(self.weights) - 2).bit_length()
+        return np.fft.rfft(self.weights[::-1], size)
+
+    def matvec(self, u: np.ndarray,
+               ghosts: GhostPolicy = "projection") -> np.ndarray:
+        """Apply the operator to ``u``, off-grid values set by ``ghosts``.
+
+        Works on ``u - u[0]``, so a constant maps to exactly zero.
+        """
+        m = len(self.weights) // 2
+        size = 2 * (len(self._spectrum) - 1)
+        w = u - u[0]
+        we = _extend(u, self.grid, ghosts, m) - u[0]
+        corr = np.fft.irfft(np.fft.rfft(we, size) * self._spectrum, size)
+        return (corr[2 * m:2 * m + self.grid.n] + self.far[1] * w[-1]
+                - self.row_sum * w)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """Dense n x n matrix of the operator under projection ghosts."""
+        n = self.grid.n
+        k = np.pad(self.weights, n - 1 - len(self.weights) // 2)  # 1-n..n-1
+        A = toeplitz(k[n - 1::-1], k[n - 1:])
+        # the edge columns take all weight at or beyond the edge: cumulative
+        # sums of the kernel from either end, plus the far weight
+        A[:, 0] = self.far[0] + np.cumsum(k)[n - 1::-1]
+        A[:, -1] = self.far[1] + np.cumsum(k[::-1])[:n]
+        A[np.diag_indices(n)] -= self.row_sum
+        return A
+
+    def factorization(self, dt: float):
+        """Cached LU factors of ``I - dt * entries``."""
+        if dt not in self._lu_cache:
+            try:
+                self._lu_cache[dt] = lu_factor(
+                    np.eye(self.grid.n) - dt * self.entries)
+            except np.linalg.LinAlgError as exc:  # pragma: no cover
+                raise SingularSystemError(str(exc)) from exc
+        return self._lu_cache[dt]
+
+
+def _quadrature_stencil(grid: Grid1D, params: FractionalParams,
+                        tail_correction: bool) -> OperatorMatrix:
+    """Stencil of the primary scheme: the one place its weights combine."""
+    c1, c2 = quadrature_coefficients(params)
     xi, w = quadrature_nodes_weights(grid)
-    alpha = params.alpha
+    alpha, h = params.alpha, grid.h
     k1 = w / xi ** (1.0 + alpha)          # kernel weights per sub-mesh node
     s2 = float(np.sum(w / xi ** alpha))   # drift-term quadrature sum
     # defect of the rule on the quadratic ramp xi^2/2: exact integral of
     # xi^(1-alpha) over [0, b] minus its trapezoid sum over [h, b]
     q_sing = grid.b ** (2.0 - alpha) / (2.0 - alpha) - float(
         np.sum(w * xi ** (1.0 - alpha)))
-    return xi, w, k1, s2, q_sing
+    far = (0.0, 0.0)
+    if tail_correction:
+        t1 = grid.b ** (-alpha) / alpha              # integral of xi^(-1-alpha)
+        t2 = grid.b ** (1.0 - alpha) / (alpha - 1.0)  # integral of xi^(-alpha)
+        s2 += t2  # the tail's drift joins the quadrature drift
+        far = (c2 * t1, c1 * t1)
+    weights = np.concatenate([c2 * k1[::-1], [0.0], c1 * k1])
+    drift = (c2 - c1) * s2 / (2.0 * h)
+    curvature = 0.5 * (c1 + c2) * q_sing / h ** 2
+    m = grid.m
+    weights[m - 1] += curvature - drift
+    weights[m + 1] += curvature + drift
+    return OperatorMatrix(grid, weights, far)
+
+
+def _laplacian_stencil(grid: Grid1D) -> OperatorMatrix:
+    return OperatorMatrix(grid, np.array([1.0, 0.0, 1.0]) / grid.h ** 2)
 
 
 def apply_riesz_feller(
@@ -131,62 +228,10 @@ def apply_riesz_feller(
         raise DegenerateCoefficientsError(
             "quadrature scheme requires 1 < alpha < 2; "
             "use classical_laplacian_apply at alpha = 2")
-    c1, c2 = quadrature_coefficients(params)
-    xi, w, k1, s2, q_sing = _scheme_constants(grid, params)
-    n, m = grid.n, grid.m
-    ue = _extend(u, grid, ghosts, m)
-
-    v = np.zeros(n)
-    for j in range(1, m + 1):  # ascending j: deterministic summation order
-        v += k1[j - 1] * (c1 * (ue[m + j:m + j + n] - u)
-                          + c2 * (ue[m - j:m - j + n] - u))
-    du = (ue[m + 1:m + 1 + n] - ue[m - 1:m - 1 + n]) / (2.0 * grid.h)
-    d2 = (ue[m + 1:m + 1 + n] - 2.0 * u + ue[m - 1:m - 1 + n]) / grid.h ** 2
-    v += (c2 - c1) * s2 * du
-    v += 0.5 * (c1 + c2) * q_sing * d2
-    if tail_correction:
-        v += _tail_terms(u, du, grid, params.alpha, c1, c2)
+    v = _quadrature_stencil(grid, params, tail_correction).matvec(u, ghosts)
     if not np.all(np.isfinite(v)):
         raise NonFiniteError("operator output contains NaN or Inf")
     return v
-
-
-def _tail_terms(u, du, grid, alpha, c1, c2):
-    """Closed-form (b, inf) contribution for a profile constant beyond +-b."""
-    t1 = grid.b ** (-alpha) / alpha              # integral of xi^(-1-alpha)
-    t2 = grid.b ** (1.0 - alpha) / (alpha - 1.0)  # integral of xi^(-alpha)
-    return (c1 * ((u[-1] - u) * t1 - du * t2)
-            + c2 * ((u[0] - u) * t1 + du * t2))
-
-
-@dataclass
-class OperatorMatrix:
-    """Dense assembled operator with projection ghosts folded in.
-
-    ``entries @ u`` reproduces the matrix-free apply for any state; rows sum
-    to zero so constants are annihilated.  LU factorizations of
-    ``I - dt*entries`` are cached per dt for implicit stepping.
-    """
-
-    entries: np.ndarray
-    params: FractionalParams
-    grid: Grid1D
-    tail_correction: bool
-    _lu_cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def factorization(self, dt: float):
-        """Cached LU factors of ``I - dt * entries``."""
-        from scipy.linalg import lu_factor
-
-        from .errors import SingularSystemError
-
-        if dt not in self._lu_cache:
-            try:
-                self._lu_cache[dt] = lu_factor(
-                    np.eye(self.grid.n) - dt * self.entries)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover
-                raise SingularSystemError(str(exc)) from exc
-        return self._lu_cache[dt]
 
 
 def assemble_operator_matrix(
@@ -194,50 +239,14 @@ def assemble_operator_matrix(
     params: FractionalParams,
     tail_correction: bool = False,
 ) -> OperatorMatrix:
-    """Assemble the dense matrix of the scheme with projection ghosts.
+    """The scheme with projection ghosts as an operator on ``grid``.
 
-    At alpha = 2 this routes to the classical second-difference matrix (the
+    At alpha = 2 this routes to the classical second difference (the
     integral coefficients degenerate there); the tail flag is then inert.
     """
-    n = grid.n
-    idx = np.arange(n)
-    A = np.zeros((n, n))
-
-    def scatter(cols, vals):
-        np.add.at(A, (idx, np.clip(cols, 0, n - 1)), vals)
-
     if params.is_classical:
-        invh2 = 1.0 / grid.h ** 2
-        scatter(idx + 1, invh2)
-        scatter(idx - 1, invh2)
-        scatter(idx, -2.0 * invh2)
-        return OperatorMatrix(A, params, grid, tail_correction)
-
-    c1, c2 = quadrature_coefficients(params)
-    xi, w, k1, s2, q_sing = _scheme_constants(grid, params)
-    for j in range(1, grid.m + 1):
-        scatter(idx + j, c1 * k1[j - 1])
-        scatter(idx, -c1 * k1[j - 1])
-        scatter(idx - j, c2 * k1[j - 1])
-        scatter(idx, -c2 * k1[j - 1])
-    cd = (c2 - c1) * s2 / (2.0 * grid.h)
-    scatter(idx + 1, cd)
-    scatter(idx - 1, -cd)
-    qc = 0.5 * (c1 + c2) * q_sing / grid.h ** 2
-    scatter(idx + 1, qc)
-    scatter(idx - 1, qc)
-    scatter(idx, -2.0 * qc)
-    if tail_correction:
-        t1 = grid.b ** (-params.alpha) / params.alpha
-        t2 = grid.b ** (1.0 - params.alpha) / (params.alpha - 1.0)
-        scatter(np.full(n, n - 1), c1 * t1)
-        scatter(idx, -c1 * t1)
-        scatter(np.full(n, 0), c2 * t1)
-        scatter(idx, -c2 * t1)
-        cdt = (c2 - c1) * t2 / (2.0 * grid.h)
-        scatter(idx + 1, cdt)
-        scatter(idx - 1, -cdt)
-    return OperatorMatrix(A, params, grid, tail_correction)
+        return _laplacian_stencil(grid)
+    return _quadrature_stencil(grid, params, tail_correction)
 
 
 def grunwald_letnikov_weights(alpha: float, count: int) -> np.ndarray:
@@ -246,11 +255,8 @@ def grunwald_letnikov_weights(alpha: float, count: int) -> np.ndarray:
     Computed by the recurrence g_0 = 1, g_r = g_{r-1} (r - 1 - alpha)/r,
     avoiding Gamma evaluations at negative arguments.
     """
-    g = np.empty(count)
-    g[0] = 1.0
-    for r in range(1, count):
-        g[r] = g[r - 1] * (r - 1.0 - alpha) / r
-    return g
+    r = np.arange(1, count)
+    return np.cumprod(np.concatenate([[1.0], (r - 1.0 - alpha) / r]))
 
 
 def grunwald_letnikov_apply(u: np.ndarray, grid: Grid1D, alpha: float) -> np.ndarray:
@@ -258,9 +264,10 @@ def grunwald_letnikov_apply(u: np.ndarray, grid: Grid1D, alpha: float) -> np.nda
 
     The one-sided fractional-difference sums are combined as
     ``-1/(2 cos(alpha pi/2)) * (left + right) / h^alpha`` with projection
-    ghosts.  The weight tails beyond the domain are completed against the
-    boundary values (the weights sum to zero over 0..inf, so a flat far
-    field contributes exactly the negated partial sums); without this the
+    ghosts, so offset ``d`` weighs ``g_(1-d) [d <= 1] + g_(d+1) [d >= -1]``.
+    The weight tails beyond the domain are completed against the boundary
+    values (the weights sum to zero over 0..inf, so a flat far field
+    contributes exactly the negated partial sums); without this the
     truncated sums leave an O(b^-alpha) defect on constants that no grid
     refinement removes.  Independent of the quadrature backend;
     first-order accurate in h.
@@ -272,25 +279,13 @@ def grunwald_letnikov_apply(u: np.ndarray, grid: Grid1D, alpha: float) -> np.nda
     u = validate_state(u, grid)
     n = grid.n
     norm = -1.0 / (2.0 * math.cos(alpha * math.pi / 2))
-    g = grunwald_letnikov_weights(alpha, n + 2)
-    ue = np.concatenate([[u[0]], u, [u[-1]]])  # one ghost per side
-    v = np.zeros(n)
-    # node i (1-based): left sum r = 0..i+1 over u_{i-r+1},
-    #                   right sum r = 0..n-i+1 over u_{i+r-1}
-    for r in range(0, n + 2):
-        j0 = max(0, r - 2)
-        if j0 < n:
-            nodes = np.arange(j0, n)
-            v[nodes] += g[r] * ue[nodes + 2 - r]
-        j1 = n - r
-        if j1 >= 0:
-            nodes = np.arange(0, min(j1, n - 1) + 1)
-            v[nodes] += g[r] * ue[nodes + r]
-    # ghost-tail completion: sum_{r>K} g_r = -sum_{r<=K} g_r
-    partial = np.cumsum(g)
-    i = np.arange(1, n + 1)
-    v -= u[0] * partial[i + 1] + u[-1] * partial[n - i + 1]
-    return norm * v / grid.h ** alpha
+    g = grunwald_letnikov_weights(alpha, n + 1) * (norm / grid.h ** alpha)
+    weights = np.zeros(2 * n - 1)  # offsets -(n-1)..n-1
+    weights[:n + 1] += g[::-1]     # left sums: offset d <= 1 weighs g_(1-d)
+    weights[n - 2:] += g           # right sums: offset d >= -1 weighs g_(d+1)
+    weights[n - 1] = 0.0
+    far = -float(np.sum(g))        # g_r for r > n, on either side
+    return OperatorMatrix(grid, weights, (far, far)).matvec(u)
 
 
 def spectral_apply(u: np.ndarray, period: float, params: FractionalParams) -> np.ndarray:
@@ -310,9 +305,7 @@ def classical_laplacian_apply(
     u: np.ndarray, grid: Grid1D, ghosts: GhostPolicy = "projection"
 ) -> np.ndarray:
     """Second central difference (the alpha = 2 endpoint)."""
-    u = validate_state(u, grid)
-    ue = _extend(u, grid, ghosts, 1)
-    return (ue[2:] - 2.0 * u + ue[:-2]) / grid.h ** 2
+    return _laplacian_stencil(grid).matvec(validate_state(u, grid), ghosts)
 
 
 def free_space_reference(

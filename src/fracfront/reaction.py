@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import OutOfRangeError
 
 
@@ -38,16 +36,3 @@ class BistableCubic:
         """
         return (1.0 - 2.0 * self.a) / 12.0
 
-
-def f_eval(nl: BistableCubic, u):
-    """Reaction value; ``u`` may leave [0, 1]."""
-    return nl.f(np.asarray(u) if not np.isscalar(u) else u)
-
-
-def f_prime(nl: BistableCubic, u):
-    """Analytic derivative of the reaction term."""
-    return nl.f_prime(np.asarray(u) if not np.isscalar(u) else u)
-
-
-def potential_gap(nl: BistableCubic) -> float:
-    return nl.potential_gap()

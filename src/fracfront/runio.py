@@ -61,8 +61,7 @@ class RunConfig:
         if self.stepper not in STEPPER_CHOICES:
             raise OutOfRangeError(
                 f"stepper must be one of {STEPPER_CHOICES}, got {self.stepper!r}")
-        method = "semi-implicit" if self.stepper == "semi-implicit" else "rk-adaptive"
-        cfg = StepperConfig(method=method, dt=self.dt, abs_tol=self.abs_tol,
+        cfg = StepperConfig(method=self.stepper, dt=self.dt, abs_tol=self.abs_tol,
                             rel_tol=self.rel_tol)
         schedule = make_schedule(self.t_final, self.snapshots)
         return params, grid, nl, cfg, schedule

@@ -5,7 +5,8 @@ Three steppers:
 * ``semi-implicit``: backward Euler on the linear operator, explicit
   reaction.  One dense LU per (matrix, dt), reused across the run.
 * ``rk-adaptive``: explicit embedded Dormand-Prince 5(4) pair with the
-  standard safety-factored step controller.
+  standard safety-factored step controller.  Matrix-free: its right-hand
+  side applies the operator's stencil by FFT.
 * ``spectral-imex``: per-mode implicit Euler on the Fourier symbol with the
   reaction evaluated in physical space.  Periodic problems only (kernel and
   decay studies), not traveling fronts on a truncated domain.
@@ -197,6 +198,13 @@ def step_spectral_imex(modes: np.ndarray, dt: float, params: FractionalParams,
 # driver
 # ---------------------------------------------------------------------------
 
+def _fixed_steps(span: float, dt: float) -> list:
+    """Steps of size dt covering ``span``, truncating the last one."""
+    nfull = int(np.floor(span / dt + 1e-12))
+    rem = span - nfull * dt
+    return [dt] * nfull + ([rem] if rem > 1e-12 * dt else [])
+
+
 def integrate(
     ic: np.ndarray,
     schedule: np.ndarray,
@@ -239,29 +247,20 @@ def integrate(
         period = grid.n * grid.h
         modes = np.fft.ifft(u)
         for k in range(1, len(schedule)):
-            span = schedule[k] - schedule[k - 1]
-            nfull = int(np.floor(span / cfg.dt + 1e-12))
-            rem = span - nfull * cfg.dt
-            steps = [cfg.dt] * nfull + ([rem] if rem > 1e-12 * cfg.dt else [])
-            for s in steps:
+            for s in _fixed_steps(schedule[k] - schedule[k - 1], cfg.dt):
                 modes = step_spectral_imex(modes, s, params, period, nl)
                 bookkeep(np.fft.fft(modes).real)
             states.append(np.fft.fft(modes).real)
     elif cfg.method == "semi-implicit":
         for k in range(1, len(schedule)):
-            span = schedule[k] - schedule[k - 1]
-            nfull = int(np.floor(span / cfg.dt + 1e-12))
-            rem = span - nfull * cfg.dt
-            steps = [cfg.dt] * nfull + ([rem] if rem > 1e-12 * cfg.dt else [])
-            for s in steps:
+            for s in _fixed_steps(schedule[k] - schedule[k - 1], cfg.dt):
                 u = step_semi_implicit(u, s, operator, nl)
                 bookkeep(u)
             states.append(u.copy())
     elif cfg.method == "rk-adaptive":
-        A = operator.entries
-
         def rhs(_t, v):
-            return A @ v + nl.f(v) if nl is not None else A @ v
+            Av = operator.matvec(v)
+            return Av + nl.f(v) if nl is not None else Av
 
         dt = cfg.dt_initial
         for k in range(1, len(schedule)):

@@ -185,6 +185,12 @@ class TestCLI:
         assert exc.value.code == 2
         assert "--theta" in capsys.readouterr().err
 
+    def test_rounded_down_theta_edge_accepted(self, tmp_path, capsys):
+        # 2.0 - 1.1 rounds to 0.8999999999999999, yet 0.9 is the edge
+        rc = main(self._simulate_args(tmp_path / "edge",
+                                      **{"--alpha": "1.1", "--theta": "0.9"}))
+        assert rc == 0
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "batch.cfg"
         cfg.write_text("alpha = 1.5\ntheta = 0.2\nn = 61\nb = 10\n"

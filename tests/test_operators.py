@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracfront import (
     DegenerateCoefficientsError,
@@ -92,14 +94,15 @@ class TestCoefficients:
 
 class TestQuadratureApply:
     def test_constant_annihilation(self):
-        g = Grid1D(30.0, 181)
-        for alpha, theta in ((1.5, 0.0), (1.8, 0.1), (1.2, -0.6)):
-            v = apply_riesz_feller(np.full(g.n, 0.7), g, FractionalParams(alpha, theta))
-            assert np.max(np.abs(v)) <= 1e-13
-            v = apply_riesz_feller(np.full(g.n, 0.7), g,
-                                   FractionalParams(alpha, theta),
-                                   tail_correction=True)
-            assert np.max(np.abs(v)) <= 1e-13
+        for g in (Grid1D(30.0, 181), Grid1D(30.0, 6401)):
+            for alpha, theta in ((1.5, 0.0), (1.8, 0.1), (1.2, -0.6)):
+                v = apply_riesz_feller(np.full(g.n, 0.7), g,
+                                       FractionalParams(alpha, theta))
+                assert np.max(np.abs(v)) <= 1e-13
+                v = apply_riesz_feller(np.full(g.n, 0.7), g,
+                                       FractionalParams(alpha, theta),
+                                       tail_correction=True)
+                assert np.max(np.abs(v)) <= 1e-13
 
     def test_affine_annihilation_free_space(self):
         g = Grid1D(30.0, 181)
@@ -188,6 +191,128 @@ class TestAssembledMatrix:
                            atol=1e-13)
 
 
+def _quadrature_brute_force(u, grid, params, ghosts="projection", tail=False):
+    """Literal double loop over nodes and sub-mesh nodes j = 1..m, written
+    from the module docstring: value differences against the kernel
+    xi^(-1-alpha), the central-difference drift, the singular-cell
+    correction q_sing and the closed-form (b, inf) tail."""
+    c1, c2 = quadrature_coefficients(params)
+    alpha, h, b, n, m = params.alpha, grid.h, grid.b, grid.n, grid.m
+
+    def at(i):  # nodal value, or the ghost value off the grid
+        if 0 <= i < n:
+            return u[i]
+        if ghosts == "projection":
+            return u[0] if i < 0 else u[-1]
+        return float(ghosts(np.array([-b + i * h]))[0])
+
+    xis = [j * h for j in range(1, m)] + [b]
+    ws = [h / 2 if j in (1, m) else h for j in range(1, m + 1)]
+    s2 = sum(w * xi ** -alpha for w, xi in zip(ws, xis))
+    q_sing = b ** (2 - alpha) / (2 - alpha) - sum(
+        w * xi ** (1 - alpha) for w, xi in zip(ws, xis))
+    t1 = b ** -alpha / alpha
+    t2 = b ** (1 - alpha) / (alpha - 1)
+    v = np.zeros(n)
+    for i in range(n):
+        acc = 0.0
+        for j in range(1, m + 1):
+            acc += ws[j - 1] * xis[j - 1] ** (-1 - alpha) * (
+                c1 * (at(i + j) - u[i]) + c2 * (at(i - j) - u[i]))
+        du = (at(i + 1) - at(i - 1)) / (2 * h)
+        d2 = (at(i + 1) - 2 * u[i] + at(i - 1)) / h ** 2
+        acc += (c2 - c1) * s2 * du + 0.5 * (c1 + c2) * q_sing * d2
+        if tail:
+            acc += (c1 * ((u[-1] - u[i]) * t1 - du * t2)
+                    + c2 * ((u[0] - u[i]) * t1 + du * t2))
+        v[i] = acc
+    return v
+
+
+BRUTE_FORCE_PAIRS = ((1.3, -0.5), (1.6, 0.3), (1.9, 0.0), (1.2, 0.8))
+
+
+class TestAgainstBruteForce:
+    @pytest.mark.parametrize("n", [13, 21])
+    @pytest.mark.parametrize("tail", [False, True])
+    @pytest.mark.parametrize("ghosts", ["projection", GAUSS])
+    def test_apply(self, n, tail, ghosts):
+        grid = Grid1D(2.5, n)
+        u = np.random.default_rng(n).standard_normal(n)
+        for alpha, theta in BRUTE_FORCE_PAIRS:
+            p = FractionalParams(alpha, theta)
+            slow = _quadrature_brute_force(u, grid, p, ghosts, tail)
+            fast = apply_riesz_feller(u, grid, p, ghosts=ghosts,
+                                      tail_correction=tail)
+            assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
+
+    @pytest.mark.parametrize("n", [13, 21])
+    @pytest.mark.parametrize("tail", [False, True])
+    def test_dense_matrix(self, n, tail):
+        grid = Grid1D(2.5, n)
+        for alpha, theta in BRUTE_FORCE_PAIRS:
+            p = FractionalParams(alpha, theta)
+            A = assemble_operator_matrix(grid, p, tail_correction=tail).entries
+            cols = np.column_stack([_quadrature_brute_force(e, grid, p, tail=tail)
+                                    for e in np.eye(n)])
+            assert np.max(np.abs(A - cols)) <= 1e-12 * np.max(np.abs(cols))
+
+
+@st.composite
+def _schemes(draw):
+    """Odd n in [5, 401], admissible (alpha, theta) with both edges, tail."""
+    n = 2 * draw(st.integers(2, 200)) + 1
+    alpha = draw(st.floats(1.01, 1.99))
+    edge = 2.0 - alpha
+    theta = draw(st.sampled_from([edge, -edge]) | st.floats(-edge, edge))
+    b = draw(st.floats(1.0, 50.0))
+    return Grid1D(b, n), FractionalParams(alpha, theta), draw(st.booleans())
+
+
+_property = settings(max_examples=40, deadline=None, derandomize=True,
+                     database=None)
+
+
+class TestStencilProperties:
+    @_property
+    @given(_schemes())
+    def test_dense_fft_and_apply_agree(self, scheme):
+        grid, p, tail = scheme
+        A = assemble_operator_matrix(grid, p, tail_correction=tail)
+        u = np.random.default_rng(grid.n).standard_normal(grid.n)
+        dense = A.entries @ u
+        scale = np.max(np.abs(dense))
+        assert np.max(np.abs(A.matvec(u) - dense)) <= 1e-12 * scale
+        direct = apply_riesz_feller(u, grid, p, tail_correction=tail)
+        assert np.max(np.abs(direct - dense)) <= 1e-12 * scale
+
+    @_property
+    @given(_schemes())
+    def test_rows_sum_to_zero(self, scheme):
+        grid, p, tail = scheme
+        A = assemble_operator_matrix(grid, p, tail_correction=tail).entries
+        rows = np.abs(A).max(axis=1)
+        assert np.max(np.abs(A.sum(axis=1)) / rows) <= 1e-12
+
+    @_property
+    @given(_schemes())
+    def test_reflection_maps_skew_to_opposite(self, scheme):
+        grid, p, tail = scheme
+        mirror = FractionalParams(p.alpha, -p.theta)
+        A = assemble_operator_matrix(grid, p, tail_correction=tail).entries
+        B = assemble_operator_matrix(grid, mirror, tail_correction=tail).entries
+        assert np.max(np.abs(A[::-1, ::-1] - B)) <= 1e-12 * np.abs(A).max()
+
+    @_property
+    @given(_schemes(), st.floats(-10.0, 10.0))
+    def test_constant_maps_to_exact_zero(self, scheme, value):
+        grid, p, tail = scheme
+        u = np.full(grid.n, value)
+        A = assemble_operator_matrix(grid, p, tail_correction=tail)
+        assert np.all(A.matvec(u) == 0.0)
+        assert np.all(apply_riesz_feller(u, grid, p, tail_correction=tail) == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # fractional-difference backend
 # ---------------------------------------------------------------------------
@@ -231,7 +356,7 @@ class TestGrunwaldLetnikov:
     def test_constant_annihilation(self):
         # the ghost-tail completion cancels the weight sums on constants;
         # without it a fixed O(b^-alpha) defect survives all refinement
-        for n in (181, 721):
+        for n in (181, 721, 6401):
             grid = Grid1D(30.0, n)
             v = grunwald_letnikov_apply(np.full(n, 1.0), grid, 1.5)
             assert np.max(np.abs(v)) * grid.h ** 1.5 <= 1e-12

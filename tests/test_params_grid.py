@@ -7,6 +7,7 @@ from fracfront import (
     GridTooSmallError,
     NonFiniteError,
     OutOfRangeError,
+    quadrature_coefficients,
     quadrature_nodes_weights,
     validate_params,
     validate_state,
@@ -28,10 +29,20 @@ class TestParams:
 
     @pytest.mark.parametrize("alpha,theta", [
         (2.5, 0.0), (1.0, 0.0), (0.5, 0.0), (1.5, 0.6), (1.2, -0.9),
+        (1.1, 0.9 + 1e-9), (1.5, float("nan")),
     ])
     def test_out_of_range(self, alpha, theta):
         with pytest.raises(OutOfRangeError):
             validate_params(alpha, theta)
+
+    @pytest.mark.parametrize("alpha,theta", [
+        (1.1, 0.9), (1.1, -0.9), (1.6, 0.4), (1.6, -0.4),
+    ])
+    def test_rounded_down_edge_admitted(self, alpha, theta):
+        # 2.0 - alpha rounds below |theta| here, yet the pair is the edge
+        assert 2.0 - alpha < abs(theta)
+        c1, c2 = quadrature_coefficients(validate_params(alpha, theta))
+        assert c1 >= 0.0 and c2 >= 0.0
 
 
 class TestGrid:
