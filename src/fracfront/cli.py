@@ -5,7 +5,8 @@ application on a saved profile), ``green`` (sample the diffusion kernel),
 ``speed`` (recompute wave diagnostics from a saved run), ``sweep``
 (cartesian parameter sweep), ``selftest`` (built-in invariant suite).
 
-Exit codes: 0 success, 1 runtime failure, 2 bad arguments.
+Exit codes: 0 success; 1 unreadable input file or runtime failure; 2 bad
+flag, option or config-file value (the message names the flag).
 """
 
 from __future__ import annotations
@@ -21,16 +22,15 @@ import numpy as np
 from . import __version__
 from .diagnostics import estimate_decay_rate, estimate_speed, green_function
 from .errors import FracfrontError, OutOfRangeError
-from .grids import FractionalParams, Grid1D
+from .grids import FractionalParams
 from .operators import apply_riesz_feller
 from .runio import (
-    IC_CHOICES,
     STEPPER_CHOICES,
     RunConfig,
     read_config_file,
-    read_profile_csv,
     result_from_csv,
     run_simulation,
+    write_columns,
     write_manifest,
     write_snapshot_csv,
 )
@@ -56,69 +56,33 @@ _RUN_FLAGS = (
 def _add_run_arguments(sub: argparse.ArgumentParser):
     for flag, typ, help_text in _RUN_FLAGS:
         sub.add_argument(flag, type=typ, help=help_text)
-    sub.add_argument("--ic", choices=IC_CHOICES, help="initial condition")
-    sub.add_argument("--stepper", choices=STEPPER_CHOICES, help="time stepper")
+    sub.add_argument("--ic", help="initial condition: chen or step")
+    sub.add_argument("--stepper", help=f"time stepper: {' or '.join(STEPPER_CHOICES)}")
     sub.add_argument("--tail-correction", action=argparse.BooleanOptionalAction,
                      help="add the closed-form far-field tail of the operator")
     sub.add_argument("--config", help="key = value file; explicit flags override")
 
 
-def _collect_run_config(parser: argparse.ArgumentParser,
-                        args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if args.config:
-        values.update(read_config_file(args.config))
+def _run_values(args: argparse.Namespace) -> dict:
+    """RunConfig keywords: the config file's values, overridden by flags."""
+    values = read_config_file(args.config) if args.config else {}
     for field in dataclasses.fields(RunConfig):
-        if field.name == "out":
-            continue
-        cli_value = getattr(args, field.name, None)
-        if cli_value is not None:
-            values[field.name] = cli_value
-    if "alpha" not in values or "theta" not in values:
-        parser.error("--alpha and --theta are required (flag or config file)")
-    config = RunConfig(**values)
-    _check_run_config(parser, config)
-    return config
-
-
-def _check_run_config(parser: argparse.ArgumentParser, config: RunConfig):
-    """Bad-argument validation with messages naming the offending flag."""
-    # theta = 0 is admissible for every admissible alpha
-    for flag, theta in (("--alpha", 0.0), ("--theta", config.theta)):
-        try:
-            FractionalParams(config.alpha, theta)
-        except OutOfRangeError as exc:
-            parser.error(f"{flag}: {exc}")
-    if not 0.0 < config.a < 1.0:
-        parser.error(f"--a: must lie in (0, 1), got {config.a}")
-    if config.b <= 0:
-        parser.error(f"--b: must be positive, got {config.b}")
-    if config.n < 3 or config.n % 2 == 0:
-        parser.error(f"--n: must be odd and >= 3, got {config.n}")
-    if config.t_final < 0:
-        parser.error(f"--t-final: must be nonnegative, got {config.t_final}")
-    if config.dt <= 0:
-        parser.error(f"--dt: must be positive, got {config.dt}")
-    if config.abs_tol <= 0 or config.rel_tol <= 0:
-        parser.error("--abs-tol/--rel-tol: tolerances must be positive")
-    if config.snapshots < 1:
-        parser.error(f"--snapshots: must be >= 1, got {config.snapshots}")
-    if config.ic not in IC_CHOICES:
-        parser.error(f"--ic: must be one of {IC_CHOICES}, got {config.ic!r}")
-    if config.stepper not in STEPPER_CHOICES:
-        parser.error(f"--stepper: must be one of {STEPPER_CHOICES}, "
-                     f"got {config.stepper!r}")
+        if getattr(args, field.name, None) is not None:
+            values[field.name] = getattr(args, field.name)
+    return values
 
 
 def _cmd_simulate(parser, args) -> int:
-    config = _collect_run_config(parser, args)
-    config.out = args.out
-    _run_and_write(config, Path(args.out))
+    values = _run_values(args)
+    if "alpha" not in values or "theta" not in values:
+        parser.error("--alpha and --theta are required (flag or config file)")
+    _run_and_write(RunConfig(**values))
     return 0
 
 
-def _run_and_write(config: RunConfig, out_dir: Path):
+def _run_and_write(config: RunConfig):
     result, diag = run_simulation(config)
+    out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_snapshot_csv(result, out_dir / "snapshots.csv")
     write_manifest(result, diag, config, out_dir / "manifest.json")
@@ -131,15 +95,11 @@ def _run_and_write(config: RunConfig, out_dir: Path):
 
 def _cmd_apply(parser, args) -> int:
     params = FractionalParams(args.alpha, args.theta)
-    x, _, states = read_profile_csv(args.input)
-    grid = Grid1D(b=-x[0], n=len(x))
-    u = states[-1]
+    profile = result_from_csv(args.input)
     ghosts = "projection" if args.mode == "projection" else (lambda xq: np.zeros_like(xq))
-    v = apply_riesz_feller(u, grid, params, ghosts=ghosts,
+    v = apply_riesz_feller(profile.final, profile.grid, params, ghosts=ghosts,
                            tail_correction=bool(args.tail_correction))
-    lines = ["x,Du"]
-    lines += [f"{repr(float(xx))},{repr(float(vv))}" for xx, vv in zip(grid.x, v)]
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    write_columns(args.out, ("x", "Du"), (profile.grid.x, v))
     print(f"wrote {args.out} ({len(v)} nodes, mode={args.mode})")
     return 0
 
@@ -148,9 +108,7 @@ def _cmd_green(parser, args) -> int:
     params = FractionalParams(args.alpha, args.theta)
     x, g = green_function(params, t=args.t, window=args.window,
                           k_modes=args.k_modes)
-    lines = ["x,g"]
-    lines += [f"{repr(float(xx))},{repr(float(gg))}" for xx, gg in zip(x, g)]
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    write_columns(args.out, ("x", "g"), (x, g))
     mass = float(np.sum(g) * (x[1] - x[0]))
     print(f"wrote {args.out} (mass={mass:.6f}, peak={g.max():.6g})")
     return 0
@@ -158,9 +116,13 @@ def _cmd_green(parser, args) -> int:
 
 def _cmd_speed(parser, args) -> int:
     run_dir = Path(args.run)
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    level = args.level if args.level is not None else manifest["config"]["a"]
-    result = result_from_csv(run_dir / "snapshots.csv", a=manifest["config"]["a"])
+    manifest = run_dir / "manifest.json"
+    try:
+        a = float(json.loads(manifest.read_text())["config"]["a"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FracfrontError(f"{manifest}: not a run manifest ({exc!r})") from exc
+    level = args.level if args.level is not None else a
+    result = result_from_csv(run_dir / "snapshots.csv", a=a)
     est = estimate_speed(result, level=level, fit_window=args.fit_window)
     out = {"speed": est.speed, "intercept": est.intercept,
            "fit_rms": est.residual, "level": level,
@@ -176,19 +138,22 @@ def _cmd_speed(parser, args) -> int:
 
 
 def _cmd_sweep(parser, args) -> int:
-    alphas = [float(v) for v in args.alphas.split(",")]
-    thetas = [float(v) for v in args.thetas.split(",")]
-    a_values = [float(v) for v in args.a_list.split(",")]
-    base = Path(args.out)
-    for alpha in alphas:
-        for theta in thetas:
-            for a in a_values:
-                args.alpha, args.theta, args.a = alpha, theta, a
-                config = _collect_run_config(parser, args)
-                sub = base / f"alpha{alpha:g}_theta{theta:g}_a{a:g}"
-                config.out = str(sub)
-                _run_and_write(config, sub)
+    values = _run_values(args)
+    configs = [RunConfig(**{**values, "alpha": alpha, "theta": theta, "a": a,
+                            "out": str(Path(args.out) /
+                                       f"alpha{alpha:g}_theta{theta:g}_a{a:g}")})
+               for alpha in args.alphas for theta in args.thetas
+               for a in args.a_list]
+    for config in configs:   # every configuration is checked before any writes
+        config.validated()
+    for config in configs:
+        _run_and_write(config)
     return 0
+
+
+def float_list(text: str) -> list[float]:
+    """Comma-separated floats (argparse reports a ValueError as bad input)."""
+    return [float(v) for v in text.split(",")]
 
 
 def _cmd_selftest(parser, args) -> int:
@@ -237,9 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = subs.add_parser("sweep", help="cartesian sweep over alpha/theta/a")
     _add_run_arguments(p_sweep)
-    p_sweep.add_argument("--alphas", required=True, help="comma list")
-    p_sweep.add_argument("--thetas", required=True, help="comma list")
-    p_sweep.add_argument("--a-list", required=True, help="comma list")
+    for flag in ("--alphas", "--thetas", "--a-list"):
+        p_sweep.add_argument(flag, type=float_list, required=True,
+                             help="comma list")
     p_sweep.add_argument("--out", required=True, help="parent output directory")
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -253,10 +218,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(parser, args)
-    except FracfrontError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except OutOfRangeError as exc:
+        flag = f"--{exc.param.replace('_', '-')}: " if exc.param else ""
+        parser.error(f"{flag}{exc}")
+    except (FracfrontError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

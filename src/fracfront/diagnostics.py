@@ -44,18 +44,24 @@ def step_profile(x: np.ndarray, lo: float = 0.49, hi: float = 1.51) -> np.ndarra
     return np.where(x <= 0.0, lo, hi)
 
 
-def make_ic(variant, grid: Grid1D, lo: float = 0.49, hi: float = 1.51) -> np.ndarray:
+def make_ic(variant, grid: Grid1D, step_lo: float = 0.49,
+            step_hi: float = 1.51) -> np.ndarray:
     """Sample an initial profile at the grid nodes.
 
-    ``variant`` is "chen", "step", or a callable x -> u.
+    ``variant`` is "chen", "step" (levels ``step_lo``, ``step_hi``), or a
+    callable x -> u.
     """
+    for name, value in (("step_lo", step_lo), ("step_hi", step_hi)):
+        if not np.isfinite(value):
+            raise OutOfRangeError(f"{name} must be finite, got {value}", name)
     if variant == "chen":
         return chen_ramp(grid.x)
     if variant == "step":
-        return step_profile(grid.x, lo, hi)
+        return step_profile(grid.x, step_lo, step_hi)
     if callable(variant):
         return np.asarray(variant(grid.x), dtype=float)
-    raise OutOfRangeError(f"unknown initial-condition variant {variant!r}")
+    raise OutOfRangeError(
+        f"initial condition must be chen, step or a callable, got {variant!r}", "ic")
 
 
 # ---------------------------------------------------------------------------
@@ -90,13 +96,17 @@ class SpeedEstimate:
 def estimate_speed(result: SimulationResult, level: Optional[float] = None,
                    fit_window: float = 0.5) -> SpeedEstimate:
     """Least-squares front speed over the trailing ``fit_window`` fraction."""
+    if not 0.0 < fit_window <= 1.0:
+        raise OutOfRangeError(
+            f"fit_window must lie in (0, 1], got {fit_window}", "fit_window")
     if level is None:
         level = result.nl.a
     k0 = int(math.ceil(len(result.times) * (1.0 - fit_window)))
     k0 = min(k0, len(result.times) - 1)
     ts = result.times[k0:]
     if len(ts) < 4:
-        raise OutOfRangeError("speed fit needs at least 4 snapshots in the window")
+        raise OutOfRangeError("speed fit needs at least 4 snapshots in the window",
+                              "fit_window")
     fronts = np.array([front_position(result.states[k], result.grid, level)
                        for k in range(k0, len(result.times))])
     design = np.vstack([ts, np.ones_like(ts)]).T
@@ -278,8 +288,12 @@ def green_function(params: FractionalParams, t: float, window: float = 200.0,
     so the window must be generous; ``WindowTooSmallError`` is raised when
     the boundary density exceeds 1e-6 of the peak.
     """
-    if t <= 0:
-        raise OutOfRangeError(f"kernel time must be positive, got {t}")
+    for name, value in (("t", t), ("window", window)):
+        if not 0.0 < value < np.inf:
+            raise OutOfRangeError(
+                f"kernel {name} must be positive and finite, got {value}", name)
+    if k_modes < 2:
+        raise OutOfRangeError(f"k_modes must be >= 2, got {k_modes}", "k_modes")
     dx = window / k_modes
     x = (np.arange(k_modes) - k_modes // 2) * dx
     xi = 2.0 * np.pi * np.fft.fftfreq(k_modes, d=dx)

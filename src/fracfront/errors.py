@@ -6,7 +6,15 @@ class FracfrontError(Exception):
 
 
 class OutOfRangeError(FracfrontError, ValueError):
-    """A parameter lies outside its admissible region."""
+    """A parameter lies outside its admissible region.
+
+    ``param`` is the parameter's ``RunConfig`` field name, which the CLI
+    turns into its flag, or None when no single parameter is at fault.
+    """
+
+    def __init__(self, message: str, param=None):
+        super().__init__(message)
+        self.param = param
 
 
 class DegenerateCoefficientsError(FracfrontError, ValueError):

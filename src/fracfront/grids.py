@@ -32,13 +32,13 @@ class FractionalParams:
     def __post_init__(self):
         if not 1.0 < self.alpha <= 2.0:
             raise OutOfRangeError(
-                f"alpha must lie in (1, 2], got {self.alpha}")
+                f"alpha must lie in (1, 2], got {self.alpha}", "alpha")
         # min(alpha, 2 - alpha) = 2 - alpha for alpha > 1.  Compare the sum:
         # 1.1 + 0.9 == 2.0, but 2.0 - 1.1 rounds below 0.9
         if not self.alpha + abs(self.theta) <= 2.0:  # rejects NaN too
             raise OutOfRangeError(
                 f"theta must satisfy |theta| <= min(alpha, 2 - alpha), "
-                f"got {self.theta} at alpha = {self.alpha}")
+                f"got {self.theta} at alpha = {self.alpha}", "theta")
 
     @property
     def is_classical(self) -> bool:
@@ -70,10 +70,11 @@ class Grid1D:
     def __init__(self, b: float, n: int):
         b = float(b)
         n = int(n)
-        if b <= 0:
-            raise OutOfRangeError(f"grid half-width b must be positive, got {b}")
+        if not 0.0 < b < np.inf:
+            raise OutOfRangeError(
+                f"grid half-width b must be positive and finite, got {b}", "b")
         if n < 3 or n % 2 == 0:
-            raise OutOfRangeError(f"node count n must be odd and >= 3, got {n}")
+            raise OutOfRangeError(f"node count n must be odd and >= 3, got {n}", "n")
         self.b = b
         self.n = n
         self.m = (n - 1) // 2

@@ -19,7 +19,8 @@ class BistableCubic:
 
     def __post_init__(self):
         if not 0.0 < self.a < 1.0:
-            raise OutOfRangeError(f"threshold a must lie in (0, 1), got {self.a}")
+            raise OutOfRangeError(
+                f"threshold a must lie in (0, 1), got {self.a}", "a")
 
     def f(self, u):
         return u * (1.0 - u) * (u - self.a)

@@ -1,10 +1,10 @@
 """Run configuration, CSV snapshot output, and the JSON run manifest.
 
 CSV layout: first column ``x``, then one column per snapshot headed
-``u@t=<time>`` (time with 6 significant digits).  Values are written in
-shortest round-trip decimal form so reading the file back recovers the
-exact doubles; identical configurations therefore produce byte-identical
-files.
+``u@t=<time>``.  Times and values are written in shortest round-trip decimal
+form (times without a trailing ``.0``), so reading the file back recovers
+the exact doubles; identical configurations therefore produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .reaction import BistableCubic
 from .stepping import SimulationResult, StepperConfig, integrate, make_schedule
 
 STEPPER_CHOICES = ("semi-implicit", "rk-adaptive")
-IC_CHOICES = ("chen", "step")
 
 
 @dataclass
@@ -52,15 +51,14 @@ class RunConfig:
     out: Optional[str] = None
 
     def validated(self):
-        """Build the validated domain objects for this configuration."""
+        """Build the validated domain objects (``make_ic`` checks ic, step levels)."""
         params = FractionalParams(self.alpha, self.theta)
         grid = Grid1D(self.b, self.n)
         nl = BistableCubic(self.a)
-        if self.ic not in IC_CHOICES:
-            raise OutOfRangeError(f"ic must be one of {IC_CHOICES}, got {self.ic!r}")
         if self.stepper not in STEPPER_CHOICES:
             raise OutOfRangeError(
-                f"stepper must be one of {STEPPER_CHOICES}, got {self.stepper!r}")
+                f"stepper must be one of {STEPPER_CHOICES}, got {self.stepper!r}",
+                "stepper")
         cfg = StepperConfig(method=self.stepper, dt=self.dt, abs_tol=self.abs_tol,
                             rel_tol=self.rel_tol)
         schedule = make_schedule(self.t_final, self.snapshots)
@@ -98,24 +96,27 @@ def run_simulation(config: RunConfig) -> tuple[SimulationResult, dict]:
 # CSV
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    # repr of a Python float is the shortest decimal that round-trips exactly
-    return repr(float(v))
+def write_columns(path, names, columns) -> None:
+    """Write equal-length columns under a header of ``names``.
+
+    Each value is written as the repr of a Python float, the shortest
+    decimal that round-trips exactly.
+    """
+    path = Path(path)
+    try:
+        with path.open("w") as f:
+            f.write(",".join(names) + "\n")
+            for row in np.column_stack(columns):
+                f.write(",".join(map(repr, row.tolist())) + "\n")
+    except OSError as exc:
+        raise FracfrontError(f"cannot write CSV {path}: {exc}") from exc
 
 
 def write_snapshot_csv(result: SimulationResult, path) -> None:
     """Write the snapshot series (see module docstring for the layout)."""
-    path = Path(path)
-    header = "x," + ",".join(f"u@t={t:.6g}" for t in result.times)
-    lines = [header]
-    for i in range(result.grid.n):
-        row = [_fmt(result.grid.x[i])]
-        row.extend(_fmt(result.states[k, i]) for k in range(len(result.times)))
-        lines.append(",".join(row))
-    try:
-        path.write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise FracfrontError(f"cannot write snapshot CSV {path}: {exc}") from exc
+    names = ["x"] + [f"u@t={np.format_float_positional(t, trim='-')}"
+                     for t in result.times]
+    write_columns(path, names, [result.grid.x, *result.states])
 
 
 def read_profile_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -125,20 +126,30 @@ def read_profile_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         text = path.read_text()
     except OSError as exc:
         raise FracfrontError(f"cannot read profile CSV {path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split(",")
-    if header[0] != "x" or not all(h.startswith("u@t=") for h in header[1:]):
+    lines = [ln.split(",") for ln in text.splitlines() if ln.strip()]
+    header = lines[0] if lines else []
+    if (header[:1] != ["x"] or len(header) < 2
+            or not all(h.startswith("u@t=") for h in header[1:])):
         raise FracfrontError(f"{path}: not a snapshot CSV (header {header[:2]}...)")
-    times = np.array([float(h[len("u@t="):]) for h in header[1:]])
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    if len(lines) < 2 or any(len(row) != len(header) for row in lines[1:]):
+        raise FracfrontError(
+            f"{path}: expected one or more data rows of {len(header)} values")
+    try:
+        times = np.array([float(h[len("u@t="):]) for h in header[1:]])
+        data = np.array([[float(v) for v in row] for row in lines[1:]])
+    except ValueError as exc:
+        raise FracfrontError(f"{path}: {exc}") from exc
     return data[:, 0], times, data[:, 1:].T
 
 
 def result_from_csv(path, a: Optional[float] = None) -> SimulationResult:
     """Rebuild a minimal result object from a saved CSV (for re-diagnosis)."""
     x, times, states = read_profile_csv(path)
-    grid = Grid1D(b=-x[0], n=len(x))
-    nl = BistableCubic(a) if a is not None else None
+    try:
+        grid = Grid1D(b=-x[0], n=len(x))
+        nl = BistableCubic(a) if a is not None else None
+    except OutOfRangeError as exc:
+        raise FracfrontError(f"{path}: {exc}") from exc
     return SimulationResult(times=times, states=states, grid=grid,
                             params=None, nl=nl,
                             stepper=StepperConfig(), stats={})
@@ -210,20 +221,17 @@ def read_config_file(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_TYPES:
             raise OutOfRangeError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = _parse_value(key, value)
+        try:
+            out[key] = _parse_value(key, value)
+        except ValueError as exc:
+            raise OutOfRangeError(f"{path}:{lineno}: {key}: {exc}") from exc
     return out
 
 
 def _parse_value(key: str, value: str):
-    if key == "tail_correction":
-        low = value.lower()
-        if low in _BOOL_TRUE:
-            return True
-        if low in _BOOL_FALSE:
-            return False
-        raise OutOfRangeError(f"{key}: expected a boolean, got {value!r}")
-    if key in ("n", "snapshots", "seed"):
-        return int(value)
-    if key in ("ic", "stepper", "out"):
-        return value
-    return float(value)
+    kind = _CONFIG_TYPES[key]   # the annotation, a string under postponed evaluation
+    if kind == "bool":
+        if value.lower() not in _BOOL_TRUE | _BOOL_FALSE:
+            raise ValueError(f"expected a boolean, got {value!r}")
+        return value.lower() in _BOOL_TRUE
+    return {"int": int, "float": float}.get(kind, str)(value)

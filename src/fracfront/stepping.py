@@ -53,25 +53,25 @@ class StepperConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise OutOfRangeError(
-                f"method must be one of {METHODS}, got {self.method!r}")
-        if self.method in ("semi-implicit", "spectral-imex") and self.dt <= 0:
-            raise OutOfRangeError(f"dt must be positive, got {self.dt}")
-        if self.method == "rk-adaptive":
-            if self.abs_tol <= 0 or self.rel_tol <= 0:
-                raise OutOfRangeError("tolerances must be positive")
-            if self.dt_initial <= 0:
-                raise OutOfRangeError("dt_initial must be positive")
-        if self.max_steps <= 0:
-            raise OutOfRangeError("max_steps must be positive")
+                f"method must be one of {METHODS}, got {self.method!r}", "method")
+        for name in ("dt", "abs_tol", "rel_tol", "dt_initial", "max_steps"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise OutOfRangeError(
+                    f"{name} must be positive and finite, got {value}", name)
 
 
-def make_schedule(t_final: float, count: int) -> np.ndarray:
-    """Uniform snapshot times 0 .. t_final (count entries)."""
-    if t_final < 0 or count < 1:
-        raise OutOfRangeError("need t_final >= 0 and count >= 1")
+def make_schedule(t_final: float, snapshots: int) -> np.ndarray:
+    """Uniform snapshot times 0 .. t_final (``snapshots`` entries)."""
+    if not 0.0 <= t_final < np.inf:
+        raise OutOfRangeError(
+            f"t_final must be nonnegative and finite, got {t_final}", "t_final")
+    if snapshots < 1:
+        raise OutOfRangeError(f"snapshots must be >= 1, got {snapshots}",
+                              "snapshots")
     if t_final == 0:
         return np.zeros(1)
-    return np.linspace(0.0, t_final, count)
+    return np.linspace(0.0, t_final, snapshots)
 
 
 def _check_schedule(schedule: np.ndarray) -> np.ndarray:

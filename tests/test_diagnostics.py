@@ -51,6 +51,14 @@ class TestInitialConditions:
         with pytest.raises(OutOfRangeError):
             make_ic("bogus", g)
 
+    @pytest.mark.parametrize("levels,name", [
+        ((float("nan"), 1.0), "step_lo"), ((0.0, float("-inf")), "step_hi"),
+    ])
+    def test_step_levels_must_be_finite(self, levels, name):
+        with pytest.raises(OutOfRangeError) as exc:
+            make_ic("step", Grid1D(10.0, 21), *levels)
+        assert exc.value.param == name
+
 
 class TestFrontPosition:
     def test_ramp_crosses_origin(self):
@@ -215,6 +223,16 @@ class TestGreenFunction:
     def test_needs_positive_time(self):
         with pytest.raises(OutOfRangeError):
             green_function(FractionalParams(1.5, 0.0), 0.0)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"t": float("nan")}, "t"), ({"t": float("inf")}, "t"),
+        ({"window": 0.0}, "window"), ({"window": float("nan")}, "window"),
+        ({"k_modes": 0}, "k_modes"), ({"k_modes": -4}, "k_modes"),
+    ])
+    def test_rejects_bad_sampling(self, kwargs, name):
+        with pytest.raises(OutOfRangeError) as exc:
+            green_function(FractionalParams(1.5, 0.0), **{"t": 1.0, **kwargs})
+        assert exc.value.param == name
 
     def test_heavy_tail_guard(self):
         with pytest.raises(WindowTooSmallError):

@@ -1,12 +1,22 @@
+import contextlib
+import io
 import json
+import string
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracfront import (
+    FractionalParams,
     OutOfRangeError,
     RunConfig,
+    apply_riesz_feller,
     estimate_speed,
+    green_function,
     read_config_file,
     read_profile_csv,
     result_from_csv,
@@ -15,6 +25,12 @@ from fracfront import (
     write_snapshot_csv,
 )
 from fracfront.cli import main
+
+def _repr_csv(header, x, y) -> bytes:
+    """Reference two-column CSV, written value by value with repr."""
+    lines = [header] + [f"{repr(float(a))},{repr(float(b))}" for a, b in zip(x, y)]
+    return ("\n".join(lines) + "\n").encode()
+
 
 TINY = dict(alpha=1.8, theta=0.1, n=61, b=10.0, t_final=1.0, dt=0.05,
             snapshots=6)
@@ -76,8 +92,8 @@ class TestSnapshotCSV:
         x, times, states = read_profile_csv(path)
         assert np.all(x == result.grid.x)         # data round-trips exactly
         assert np.all(states == result.states)
-        # header times carry 6 significant digits by contract
-        assert np.allclose(times, result.times, rtol=1e-5, atol=1e-12)
+        # header times are shortest round-trip decimals too (0.6000000000000001)
+        assert np.all(times == result.times)
 
     def test_initial_ramp_column(self, tmp_path):
         config = RunConfig(alpha=1.8, theta=0.1, t_final=1.0, dt=0.1,
@@ -212,6 +228,11 @@ class TestCLI:
         lines = (tmp_path / "applied.csv").read_text().splitlines()
         assert lines[0] == "x,Du"
         assert len(lines) == 62
+        profile = result_from_csv(tmp_path / "run3" / "snapshots.csv")
+        v = apply_riesz_feller(profile.final, profile.grid,
+                               FractionalParams(1.8, 0.1))
+        assert (tmp_path / "applied.csv").read_bytes() == _repr_csv(
+            "x,Du", profile.grid.x, v)
 
     def test_apply_missing_input_exits_1(self, tmp_path, capsys):
         rc = main(["apply", "--alpha", "1.8", "--theta", "0.1",
@@ -230,6 +251,9 @@ class TestCLI:
         vals = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
         mass = np.sum(vals[:, 1]) * (vals[1, 0] - vals[0, 0])
         assert mass == pytest.approx(1.0, abs=1e-3)
+        x, g = green_function(FractionalParams(1.8, 0.1), t=1.0, window=400.0,
+                              k_modes=8192)
+        assert (tmp_path / "g.csv").read_bytes() == _repr_csv("x,g", x, g)
 
     def test_speed_subcommand_matches_manifest(self, tmp_path, capsys):
         argv = self._simulate_args(tmp_path / "run4",
@@ -258,3 +282,157 @@ class TestCLI:
             seeds.add(m["seed"])
         assert thetas == {-0.1, 0.1}
         assert seeds == {7}
+
+
+class TestExitCodes:
+    """Malformed input exits 1 (unreadable input file) or 2 (bad value, named
+    by its flag), with an ``error:`` line and no traceback."""
+
+    BAD_CSV = {
+        "non_numeric": "x,u@t=0\n-1,0.1\n0,abc\n1,0.3\n",
+        "bad_header": "x,u@t=zz\n-1,0.1\n0,0.2\n1,0.3\n",
+        "empty": "",
+        "ragged": "x,u@t=0\n-1,0.1\n0,0.2,0.5\n1,0.3\n",
+    }
+    SMALL_RUN = ["--n", "21", "--b", "5", "--t-final", "0.1", "--dt", "0.05",
+                 "--snapshots", "2"]
+
+    def _exits_2(self, argv, capsys) -> str:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("name", sorted(BAD_CSV))
+    def test_apply_malformed_csv_exits_1(self, tmp_path, capsys, name):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(self.BAD_CSV[name])
+        rc = main(["apply", "--alpha", "1.8", "--theta", "0.1",
+                   "--input", str(path), "--out", str(tmp_path / "a.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}")
+        assert not (tmp_path / "a.csv").exists()
+
+    @pytest.mark.parametrize("text", ["{not json", '{"seed": 0}'])
+    def test_speed_malformed_manifest_exits_1(self, tmp_path, capsys, text):
+        (tmp_path / "manifest.json").write_text(text)
+        assert main(["speed", "--run", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {tmp_path / 'manifest.json'}")
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--k-modes", "0"), ("--k-modes", "-4"), ("--window", "0"),
+        ("--t", "nan"),
+    ])
+    def test_green_bad_value_exits_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "g.csv"
+        err = self._exits_2(["green", "--alpha", "1.8", "--theta", "0.1",
+                             "--k-modes", "64", f"{flag}={value}",
+                             "--out", str(out)], capsys)
+        assert f"{flag}:" in err
+        assert not out.exists()
+
+    def test_speed_fit_window_nan_exits_2(self, tmp_path, capsys):
+        assert main(["simulate", "--alpha", "1.5", "--theta", "0",
+                     *self.SMALL_RUN, "--out", str(tmp_path)]) == 0
+        err = self._exits_2(["speed", "--run", str(tmp_path),
+                             "--fit-window", "nan"], capsys)
+        assert "--fit-window:" in err
+
+    @pytest.mark.parametrize("value", ["abc", "61.0"])
+    def test_config_file_bad_value_exits_2(self, tmp_path, capsys, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"alpha = 1.5\ntheta = 0\nn = {value}\n")
+        err = self._exits_2(["simulate", "--config", str(cfg),
+                             "--out", str(tmp_path / "run")], capsys)
+        assert f"{cfg}:3: n:" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--ic", "ramp"), ("--stepper", "bdf"), ("--stepper", "spectral-imex"),
+    ])
+    def test_bad_choice_exits_2(self, tmp_path, capsys, flag, value):
+        err = self._exits_2(["simulate", "--alpha", "1.5", "--theta", "0",
+                             *self.SMALL_RUN, flag, value,
+                             "--out", str(tmp_path / "run")], capsys)
+        assert f"{flag}:" in err and value in err
+        assert not (tmp_path / "run").exists()
+
+    def test_sweep_non_numeric_list_exits_2(self, tmp_path, capsys):
+        err = self._exits_2(["sweep", "--alphas", "1.5,abc", "--thetas", "0",
+                             "--a-list", "0.5", *self.SMALL_RUN,
+                             "--out", str(tmp_path / "sw")], capsys)
+        assert "--alphas" in err
+
+    def test_sweep_validates_every_configuration_before_writing(
+            self, tmp_path, capsys):
+        # theta = 0.9 is outside min(alpha, 2 - alpha) = 0.5; theta = 0 is fine
+        err = self._exits_2(["sweep", "--alphas", "1.5", "--thetas", "0,0.9",
+                             "--a-list", "0.5", *self.SMALL_RUN,
+                             "--out", str(tmp_path / "sw")], capsys)
+        assert "--theta:" in err
+        assert not (tmp_path / "sw").exists()
+
+
+def _unparsable_by(parse):
+    def check(text):
+        try:
+            parse(text)
+        except ValueError:
+            return True
+        return False
+    return check
+
+
+_TEXT = st.text(alphabet=string.digits + ".,+-eE xabnif_", max_size=6)
+_NOT_FLOAT = _TEXT.filter(_unparsable_by(float))
+_NOT_INT = _TEXT.filter(_unparsable_by(int))
+_NONFINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+_NONPOSITIVE = st.floats(max_value=0.0, allow_nan=False)
+
+# every value drawn here must be rejected (alpha = 1.5, so |theta| <= 0.5; the
+# check sums alpha + |theta| in floating point, which admits theta within
+# rounding of the edge, so theta keeps a margin); --n and --snapshots stay
+# small, so a value that slipped through would run in milliseconds
+_REJECTED = {
+    "--alpha": st.floats(max_value=1.0) | st.floats(min_value=2.0, exclude_min=True),
+    "--theta": st.floats(min_value=0.5 + 1e-12) | st.floats(max_value=-0.5 - 1e-12),
+    "--a": st.floats(max_value=0.0) | st.floats(min_value=1.0),
+    "--b": _NONPOSITIVE,
+    "--n": st.integers(-50, 50).filter(lambda n: n < 3 or n % 2 == 0),
+    "--t-final": st.floats(max_value=0.0, exclude_max=True),
+    "--step-lo": st.nothing(),
+    "--step-hi": st.nothing(),
+    "--dt": _NONPOSITIVE,
+    "--abs-tol": _NONPOSITIVE,
+    "--rel-tol": _NONPOSITIVE,
+    "--snapshots": st.integers(-50, 0),
+    "--seed": st.nothing(),
+}
+_INT_FLAGS = ("--n", "--snapshots", "--seed")
+
+
+def _rejected_values(flag):
+    if flag in _INT_FLAGS:
+        return _REJECTED[flag].map(str) | _NOT_INT | _NONFINITE.map(str)
+    return (_REJECTED[flag] | _NONFINITE).map(repr) | _NOT_FLOAT
+
+
+class TestRunFlagProperty:
+    @pytest.mark.parametrize("flag", sorted(_REJECTED))
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_rejected_value_exits_2_naming_flag(self, flag, data):
+        value = data.draw(_rejected_values(flag), label=flag)
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "run"
+            argv = ["simulate", *TestExitCodes.SMALL_RUN, "--alpha", "1.5",
+                    "--theta", "0", f"{flag}={value}", "--out", str(out)]
+            with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert not out.exists()
+        assert exc.value.code == 2
+        assert f"{flag}:" in err.getvalue()

@@ -55,7 +55,8 @@ class TestGrid:
         diffs = np.diff(g.x)
         assert np.max(np.abs(diffs - g.h)) <= 4 * np.finfo(float).eps * 30.0
 
-    @pytest.mark.parametrize("b,n", [(30.0, 180), (30.0, 1), (0.0, 181), (-1.0, 5)])
+    @pytest.mark.parametrize("b,n", [(30.0, 180), (30.0, 1), (0.0, 181), (-1.0, 5),
+                                     (float("nan"), 5), (float("inf"), 5)])
     def test_invalid_grid(self, b, n):
         with pytest.raises(OutOfRangeError):
             Grid1D(b, n)

@@ -33,6 +33,25 @@ class TestConfig:
         with pytest.raises(OutOfRangeError):
             StepperConfig(method="rk-adaptive", abs_tol=0.0)
 
+    @pytest.mark.parametrize("method", ["semi-implicit", "rk-adaptive",
+                                        "spectral-imex"])
+    @pytest.mark.parametrize("name", ["dt", "abs_tol", "rel_tol", "dt_initial",
+                                      "max_steps"])
+    def test_every_field_checked_for_every_method(self, method, name):
+        for bad in (0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(OutOfRangeError) as exc:
+                StepperConfig(method=method, **{name: bad})
+            assert exc.value.param == name
+
+    @pytest.mark.parametrize("t_final,snapshots,name", [
+        (-1.0, 3, "t_final"), (float("nan"), 3, "t_final"),
+        (float("inf"), 3, "t_final"), (1.0, 0, "snapshots"),
+    ])
+    def test_bad_schedule(self, t_final, snapshots, name):
+        with pytest.raises(OutOfRangeError) as exc:
+            make_schedule(t_final, snapshots)
+        assert exc.value.param == name
+
     def test_schedule_shapes(self):
         s = make_schedule(2.0, 5)
         assert s[0] == 0.0 and s[-1] == 2.0 and len(s) == 5
