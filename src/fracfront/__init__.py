@@ -1,6 +1,6 @@
 """fracfront: bistable reaction-diffusion with skewed fractional diffusion.
 
-A numpy/scipy library for the one-dimensional equation
+A numpy library for the one-dimensional equation
 
     du/dt = D u + f(u),
 

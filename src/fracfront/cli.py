@@ -218,10 +218,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(parser, args)
-    except OutOfRangeError as exc:
-        flag = f"--{exc.param.replace('_', '-')}: " if exc.param else ""
-        parser.error(f"{flag}{exc}")
     except (FracfrontError, OSError) as exc:
+        if isinstance(exc, OutOfRangeError) and (
+                exc.param is None or hasattr(args, exc.param)):
+            flag = f"--{exc.param.replace('_', '-')}: " if exc.param else ""
+            parser.error(f"{flag}{exc}")
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

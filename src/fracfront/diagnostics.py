@@ -101,6 +101,8 @@ def estimate_speed(result: SimulationResult, level: Optional[float] = None,
             f"fit_window must lie in (0, 1], got {fit_window}", "fit_window")
     if level is None:
         level = result.nl.a
+    if not abs(level) < np.inf:
+        raise OutOfRangeError(f"level must be finite, got {level}", "level")
     k0 = int(math.ceil(len(result.times) * (1.0 - fit_window)))
     k0 = min(k0, len(result.times) - 1)
     ts = result.times[k0:]

@@ -21,7 +21,7 @@ class DegenerateCoefficientsError(FracfrontError, ValueError):
     """Both integral-representation coefficients vanish (order exactly 2)."""
 
 
-class GridTooSmallError(FracfrontError, ValueError):
+class GridTooSmallError(OutOfRangeError):
     """The grid cannot carry the requested quadrature sub-mesh."""
 
 

@@ -102,7 +102,7 @@ def quadrature_nodes_weights(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     """
     if grid.m < 2:
         raise GridTooSmallError(
-            f"quadrature needs at least 2 sub-mesh nodes, grid has M={grid.m}")
+            f"quadrature needs n >= 5 (M >= 2), got n={grid.n}", "n")
     xi = grid.h * np.arange(1, grid.m + 1)
     xi[-1] = grid.b
     w = np.full(grid.m, grid.h)

@@ -16,7 +16,7 @@ Each grid backend is one Toeplitz stencil, an ``OperatorMatrix``: weights
 ``K[d]`` for the offsets ``|d| <= M`` plus the weight landing beyond the M
 ghost values, which folds onto the boundary nodes.  Its apply is one FFT
 correlation of the ghost-extended state, O(n log n); its dense matrix is
-built only for the implicit stepper's LU, so the adaptive stepper is
+built only for the implicit stepper's inverse, so the adaptive stepper is
 matrix-free.  The stencils:
 
 * ``apply_riesz_feller`` / ``assemble_operator_matrix``: the primary scheme.
@@ -47,7 +47,6 @@ from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg import lu_factor, toeplitz
 
 from .errors import (
     DegenerateCoefficientsError,
@@ -109,16 +108,16 @@ class OperatorMatrix:
     landing beyond the M ghost values, which folds onto the boundary nodes.
     The diagonal is ``-row_sum``, so rows sum to zero and constants are
     annihilated.  ``matvec`` applies the operator by FFT in O(n log n);
-    ``entries`` is the dense matrix under projection ghosts, built on first
-    use, and ``entries @ u`` equals ``matvec(u)`` to roundoff.  LU
-    factorizations of ``I - dt*entries`` are cached per dt for implicit
-    stepping.
+    ``entries`` is the dense matrix under projection ghosts, built afresh
+    on each access, and ``entries @ u`` equals ``matvec(u)`` to roundoff.
+    The inverse of ``I - dt*entries`` is cached per dt for implicit
+    stepping; it is the only n x n array the operator keeps.
     """
 
     grid: Grid1D
     weights: np.ndarray
     far: tuple[float, float] = (0.0, 0.0)
-    _lu_cache: dict = field(default_factory=dict, repr=False)
+    _inverse_cache: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def row_sum(self) -> float:
@@ -146,12 +145,12 @@ class OperatorMatrix:
         return (corr[2 * m:2 * m + self.grid.n] + self.far[1] * w[-1]
                 - self.row_sum * w)
 
-    @cached_property
+    @property
     def entries(self) -> np.ndarray:
         """Dense n x n matrix of the operator under projection ghosts."""
         n = self.grid.n
         k = np.pad(self.weights, n - 1 - len(self.weights) // 2)  # 1-n..n-1
-        A = toeplitz(k[n - 1::-1], k[n - 1:])
+        A = np.lib.stride_tricks.sliding_window_view(k, n)[::-1].copy()
         # the edge columns take all weight at or beyond the edge: cumulative
         # sums of the kernel from either end, plus the far weight
         A[:, 0] = self.far[0] + np.cumsum(k)[n - 1::-1]
@@ -159,15 +158,17 @@ class OperatorMatrix:
         A[np.diag_indices(n)] -= self.row_sum
         return A
 
-    def factorization(self, dt: float):
-        """Cached LU factors of ``I - dt * entries``."""
-        if dt not in self._lu_cache:
+    def factorization(self, dt: float) -> np.ndarray:
+        """Cached inverse of ``I - dt * entries``, formed in a fresh array."""
+        if dt not in self._inverse_cache:
+            M = self.entries
+            M *= -dt
+            M[np.diag_indices(self.grid.n)] += 1.0
             try:
-                self._lu_cache[dt] = lu_factor(
-                    np.eye(self.grid.n) - dt * self.entries)
+                self._inverse_cache[dt] = np.linalg.inv(M)
             except np.linalg.LinAlgError as exc:  # pragma: no cover
                 raise SingularSystemError(str(exc)) from exc
-        return self._lu_cache[dt]
+        return self._inverse_cache[dt]
 
 
 def _quadrature_stencil(grid: Grid1D, params: FractionalParams,

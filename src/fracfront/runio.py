@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import estimate_decay_rate, estimate_speed, make_ic
 from .errors import FracfrontError, OutOfRangeError
-from .grids import FractionalParams, Grid1D
+from .grids import FractionalParams, Grid1D, quadrature_nodes_weights
 from .operators import quadrature_coefficients
 from .reaction import BistableCubic
 from .stepping import SimulationResult, StepperConfig, integrate, make_schedule
@@ -54,6 +54,8 @@ class RunConfig:
         """Build the validated domain objects (``make_ic`` checks ic, step levels)."""
         params = FractionalParams(self.alpha, self.theta)
         grid = Grid1D(self.b, self.n)
+        if not params.is_classical:
+            quadrature_nodes_weights(grid)  # the fractional scheme needs n >= 5
         nl = BistableCubic(self.a)
         if self.stepper not in STEPPER_CHOICES:
             raise OutOfRangeError(

@@ -3,7 +3,8 @@
 Three steppers:
 
 * ``semi-implicit``: backward Euler on the linear operator, explicit
-  reaction.  One dense LU per (matrix, dt), reused across the run.
+  reaction.  One dense inverse per (matrix, dt), reused across the run,
+  so each step is one mat-vec.
 * ``rk-adaptive``: explicit embedded Dormand-Prince 5(4) pair with the
   standard safety-factored step controller.  Matrix-free: its right-hand
   side applies the operator's stencil by FFT.
@@ -23,7 +24,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_solve
 
 from .errors import (
     DivergedError,
@@ -110,8 +110,8 @@ class SimulationResult:
 def step_semi_implicit(u: np.ndarray, dt: float, A: OperatorMatrix,
                        nl: Optional[BistableCubic]) -> np.ndarray:
     """Solve (I - dt*A) u_new = u + dt f(u)."""
-    rhs = u + dt * nl.f(u) if nl is not None else u.copy()
-    return lu_solve(A.factorization(dt), rhs)
+    rhs = u + dt * nl.f(u) if nl is not None else u
+    return A.factorization(dt) @ rhs
 
 
 # ---------------------------------------------------------------------------

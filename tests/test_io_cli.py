@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import string
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracfront
 from fracfront import (
     FractionalParams,
     OutOfRangeError,
@@ -366,6 +370,52 @@ class TestExitCodes:
                              "--out", str(tmp_path / "sw")], capsys)
         assert "--alphas" in err
 
+    def test_fractional_run_on_three_nodes_exits_2(self, tmp_path, capsys):
+        tiny = ["--n", "3", "--b", "5", "--t-final", "0.1", "--dt", "0.05",
+                "--snapshots", "2"]
+        err = self._exits_2(["simulate", "--alpha", "1.5", "--theta", "0",
+                             *tiny, "--out", str(tmp_path / "run")], capsys)
+        assert "--n:" in err
+        assert not (tmp_path / "run").exists()
+        # the alpha = 2 difference needs no sub-mesh; a sweep that mixes the
+        # two fails before its alpha = 2 run writes anything
+        assert main(["simulate", "--alpha", "2", "--theta", "0", *tiny,
+                     "--out", str(tmp_path / "classical")]) == 0
+        err = self._exits_2(["sweep", "--alphas", "2,1.5", "--thetas", "0",
+                             "--a-list", "0.5", *tiny,
+                             "--out", str(tmp_path / "sw")], capsys)
+        assert "--n:" in err
+        assert not (tmp_path / "sw").exists()
+
+    def test_apply_three_row_csv_exits_1(self, tmp_path, capsys):
+        # the bad node count comes from the file: apply has no --n to name
+        path = tmp_path / "three.csv"
+        path.write_text("x,u@t=0\n-1,0\n0,0.5\n1,1\n")
+        rc = main(["apply", "--alpha", "1.5", "--theta", "0",
+                   "--input", str(path), "--out", str(tmp_path / "a.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--n" not in err
+        assert not (tmp_path / "a.csv").exists()
+
+    @pytest.mark.parametrize("level", ["nan", "inf"])
+    def test_speed_nonfinite_level_exits_2(self, tmp_path, capsys, level):
+        assert main(["simulate", "--alpha", "1.5", "--theta", "0",
+                     *self.SMALL_RUN, "--out", str(tmp_path)]) == 0
+        err = self._exits_2(["speed", "--run", str(tmp_path),
+                             "--level", level], capsys)
+        assert "--level:" in err
+
+    def test_speed_level_never_crossed_exits_1(self, tmp_path, capsys):
+        # enough snapshots for the fit window, so only the level is at fault
+        assert main(["simulate", "--alpha", "1.5", "--theta", "0",
+                     *self.SMALL_RUN, "--snapshots", "9",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["speed", "--run", str(tmp_path), "--level", "5"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: profile never crosses level 5.0")
+
     def test_sweep_validates_every_configuration_before_writing(
             self, tmp_path, capsys):
         # theta = 0.9 is outside min(alpha, 2 - alpha) = 0.5; theta = 0 is fine
@@ -374,6 +424,18 @@ class TestExitCodes:
                              "--out", str(tmp_path / "sw")], capsys)
         assert "--theta:" in err
         assert not (tmp_path / "sw").exists()
+
+
+def test_import_loads_no_scipy():
+    """The library and its CLI run on numpy alone."""
+    code = ("import sys, fracfront, fracfront.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    src = str(Path(fracfront.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def _unparsable_by(parse):

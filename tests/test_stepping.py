@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from fracfront import (
     BistableCubic,
@@ -73,6 +74,37 @@ class TestSemiImplicit:
         u = np.linspace(0.0, 1.0, g.n)
         out = step_semi_implicit(u, 0.05, A, nl)
         assert np.max(np.abs(out - (u + 0.05 * nl.f(u)))) <= 1e-13
+
+    # (b, n, alpha, theta, dt): operators from acceptance tests 05-08 and
+    # one sweep-fine configuration of the benchmark
+    @pytest.mark.parametrize("b,n,alpha,theta,dt", [
+        (30.0, 181, 1.8, 0.1, 0.02), (30.0, 181, 1.5, 0.2, 0.05),
+        (30.0, 361, 1.5, -0.15, 0.05), (30.0, 361, 1.5, 0.25, 0.05),
+        (40.0, 801, 2.0, 0.0, 0.02), (30.0, 181, 1.8, 0.1, 0.05),
+        (30.0, 361, 1.8, 0.1, 0.05), (30.0, 1601, 1.3, -0.15, 0.02),
+    ])
+    def test_matches_lu_solve(self, b, n, alpha, theta, dt):
+        g = Grid1D(b, n)
+        A = assemble_operator_matrix(g, FractionalParams(alpha, theta))
+        nl = BistableCubic(0.4)
+        u = 1.0 / (1.0 + np.exp(-g.x))
+        rhs = u + dt * nl.f(u)
+        ref = lu_solve(lu_factor(np.eye(n) - dt * A.entries), rhs)
+        out = step_semi_implicit(u, dt, A, nl)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # I - dt*A is an M-matrix, so its inverse is nonnegative
+        assert np.min(A.factorization(dt)) >= 0.0
+
+    def test_operator_keeps_only_the_inverse(self):
+        g = Grid1D(10.0, 41)
+        A = assemble_operator_matrix(g, FractionalParams(1.6, 0.2))
+        assert A.entries is not A.entries  # built afresh, never cached
+        inverse = A.factorization(0.1)
+        held = [v for x in vars(A).values()
+                for v in (x.values() if isinstance(x, dict) else [x])]
+        square = [v for v in held if np.shape(v) == (g.n, g.n)]
+        assert len(square) == 1 and square[0] is inverse
+        assert A.factorization(0.1) is inverse
 
     def test_first_order_self_convergence(self):
         g = Grid1D(20.0, 121)
