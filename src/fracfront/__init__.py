@@ -7,11 +7,11 @@ A numpy library for the one-dimensional equation
 where D is the Fourier multiplier of order alpha in (1, 2] and skewness
 theta (|theta| <= min(alpha, 2 - alpha)) and f is a bistable reaction term.
 It provides a singular-integral quadrature discretization of D with
-projection boundary conditions, cross-check backends (fractional
-differences, spectral multiplier, classical Laplacian), semi-implicit and
-adaptive explicit time steppers, traveling-wave diagnostics (front speed,
-shift-matched convergence, comparison and bounds checks), and the
-heavy-tailed diffusion kernel.
+projection boundary conditions (the second difference at alpha = 2),
+cross-check backends (fractional differences, spectral multiplier),
+semi-implicit and adaptive explicit time steppers, traveling-wave
+diagnostics (front speed, shift-matched convergence, comparison and bounds
+checks), and the heavy-tailed diffusion kernel.
 """
 
 __version__ = "0.1.0"
@@ -50,14 +50,12 @@ from .grids import (                # noqa: E402
     FractionalParams,
     Grid1D,
     quadrature_nodes_weights,
-    validate_params,
     validate_state,
 )
 from .operators import (            # noqa: E402
     OperatorMatrix,
     apply_riesz_feller,
     assemble_operator_matrix,
-    classical_laplacian_apply,
     free_space_reference,
     grunwald_letnikov_apply,
     grunwald_letnikov_weights,
@@ -82,7 +80,6 @@ from .stepping import (             # noqa: E402
     make_schedule,
     step_explicit_rk,
     step_semi_implicit,
-    step_spectral_imex,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

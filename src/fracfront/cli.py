@@ -25,7 +25,6 @@ from .errors import FracfrontError, OutOfRangeError
 from .grids import FractionalParams
 from .operators import apply_riesz_feller
 from .runio import (
-    STEPPER_CHOICES,
     RunConfig,
     read_config_file,
     result_from_csv,
@@ -35,11 +34,16 @@ from .runio import (
     write_snapshot_csv,
 )
 from .selftest import run_selftest
+from .stepping import METHODS
 
-_RUN_FLAGS = (
+# sweep takes lists of these three instead (--alphas, --thetas, --a-list)
+_POINT_FLAGS = (
     ("--alpha", float, "diffusion order, in (1, 2]"),
     ("--theta", float, "skewness, |theta| <= min(alpha, 2 - alpha)"),
     ("--a", float, "unstable threshold of the cubic reaction, in (0, 1)"),
+)
+_SWEEP_LISTS = {"alpha": "alphas", "theta": "thetas", "a": "a_list"}
+_RUN_FLAGS = (
     ("--b", float, "domain half-width"),
     ("--n", int, "node count (odd, >= 3)"),
     ("--t-final", float, "end time"),
@@ -53,11 +57,11 @@ _RUN_FLAGS = (
 )
 
 
-def _add_run_arguments(sub: argparse.ArgumentParser):
-    for flag, typ, help_text in _RUN_FLAGS:
+def _add_run_arguments(sub: argparse.ArgumentParser, flags):
+    for flag, typ, help_text in flags:
         sub.add_argument(flag, type=typ, help=help_text)
     sub.add_argument("--ic", help="initial condition: chen or step")
-    sub.add_argument("--stepper", help=f"time stepper: {' or '.join(STEPPER_CHOICES)}")
+    sub.add_argument("--stepper", help=f"time stepper: {' or '.join(METHODS)}")
     sub.add_argument("--tail-correction", action=argparse.BooleanOptionalAction,
                      help="add the closed-form far-field tail of the operator")
     sub.add_argument("--config", help="key = value file; explicit flags override")
@@ -145,7 +149,11 @@ def _cmd_sweep(parser, args) -> int:
                for alpha in args.alphas for theta in args.thetas
                for a in args.a_list]
     for config in configs:   # every configuration is checked before any writes
-        config.validated()
+        try:
+            config.validated()
+        except OutOfRangeError as exc:   # name the list flag the value came from
+            exc.param = _SWEEP_LISTS.get(exc.param, exc.param)
+            raise
     for config in configs:
         _run_and_write(config)
     return 0
@@ -167,10 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
+    # each subcommand carries its own parser, so its errors print its usage
     p_sim = subs.add_parser("simulate", help="run one configuration")
-    _add_run_arguments(p_sim)
+    _add_run_arguments(p_sim, _POINT_FLAGS + _RUN_FLAGS)
     p_sim.add_argument("--out", required=True, help="output directory")
-    p_sim.set_defaults(func=_cmd_simulate)
+    p_sim.set_defaults(func=_cmd_simulate, parser=p_sim)
 
     p_apply = subs.add_parser("apply", help="apply the operator to a CSV profile")
     p_apply.add_argument("--alpha", type=float, required=True)
@@ -182,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="off-domain values: clamp to boundary, or zero")
     p_apply.add_argument("--tail-correction", action="store_true")
     p_apply.add_argument("--out", required=True, help="output CSV (x, Du)")
-    p_apply.set_defaults(func=_cmd_apply)
+    p_apply.set_defaults(func=_cmd_apply, parser=p_apply)
 
     p_green = subs.add_parser("green", help="sample the diffusion kernel")
     p_green.add_argument("--alpha", type=float, required=True)
@@ -191,38 +200,39 @@ def build_parser() -> argparse.ArgumentParser:
     p_green.add_argument("--window", type=float, default=200.0)
     p_green.add_argument("--k-modes", type=int, default=2 ** 14)
     p_green.add_argument("--out", required=True, help="output CSV (x, g)")
-    p_green.set_defaults(func=_cmd_green)
+    p_green.set_defaults(func=_cmd_green, parser=p_green)
 
     p_speed = subs.add_parser("speed", help="recompute diagnostics from a run")
     p_speed.add_argument("--run", required=True, help="run directory")
     p_speed.add_argument("--level", type=float, default=None,
                          help="front level (default: threshold a from manifest)")
     p_speed.add_argument("--fit-window", type=float, default=0.5)
-    p_speed.set_defaults(func=_cmd_speed)
+    p_speed.set_defaults(func=_cmd_speed, parser=p_speed)
 
-    p_sweep = subs.add_parser("sweep", help="cartesian sweep over alpha/theta/a")
-    _add_run_arguments(p_sweep)
+    # no prefix matching: --alpha or --theta would be read as the list flag
+    p_sweep = subs.add_parser("sweep", help="cartesian sweep over alpha/theta/a",
+                              allow_abbrev=False)
+    _add_run_arguments(p_sweep, _RUN_FLAGS)
     for flag in ("--alphas", "--thetas", "--a-list"):
         p_sweep.add_argument(flag, type=float_list, required=True,
                              help="comma list")
     p_sweep.add_argument("--out", required=True, help="parent output directory")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(func=_cmd_sweep, parser=p_sweep)
 
     p_self = subs.add_parser("selftest", help="run the invariant suite")
-    p_self.set_defaults(func=_cmd_selftest)
+    p_self.set_defaults(func=_cmd_selftest, parser=p_self)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(parser, args)
+        return args.func(args.parser, args)
     except (FracfrontError, OSError) as exc:
         if isinstance(exc, OutOfRangeError) and (
                 exc.param is None or hasattr(args, exc.param)):
             flag = f"--{exc.param.replace('_', '-')}: " if exc.param else ""
-            parser.error(f"{flag}{exc}")
+            args.parser.error(f"{flag}{exc}")
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -45,11 +45,6 @@ class FractionalParams:
         return self.alpha == 2.0
 
 
-def validate_params(alpha: float, theta: float) -> FractionalParams:
-    """Validate (alpha, theta) and return the immutable parameter pair."""
-    return FractionalParams(float(alpha), float(theta))
-
-
 class Grid1D:
     """Uniform grid on [-b, b] with an odd node count.
 

@@ -19,8 +19,10 @@ correlation of the ghost-extended state, O(n log n); its dense matrix is
 built only for the implicit stepper's inverse, so the adaptive stepper is
 matrix-free.  The stencils:
 
-* ``apply_riesz_feller`` / ``assemble_operator_matrix``: the primary scheme.
-  Trapezoid quadrature of the singular integrals on the sub-mesh
+* ``assemble_operator_matrix``: the primary scheme, and the one place that
+  dispatches on the order: at alpha = 2, where the integral coefficients
+  degenerate, it is the second central difference; otherwise trapezoid
+  quadrature of the singular integrals on the sub-mesh
   ``xi_j = j*h`` (j = 1..M), with the first derivative replaced by the
   central difference and a closed-form correction that makes the rule exact
   for the locally quadratic part of the profile on [0, b].  Without that
@@ -28,12 +30,11 @@ matrix-free.  The stencils:
   singular cell [0, h), which is the dominant error for alpha near 2.
   Off-grid values are resolved by a ghost policy; the optional tail term
   adds the closed-form contribution of (b, inf) assuming the profile is
-  constant beyond the domain.
+  constant beyond the domain.  ``apply_riesz_feller`` applies it to a
+  profile.
 * ``grunwald_letnikov_apply``: shifted Grunwald-Letnikov differences,
   normalized by ``-1/(2 cos(alpha pi/2))`` so that the two-sided sum
   discretizes the symmetric (theta = 0) operator.  Cross-check backend.
-* ``classical_laplacian_apply``: second central difference, the alpha = 2
-  endpoint where the integral coefficients degenerate.
 
 ``spectral_apply`` is the exact multiplier on a periodic grid via the DFT:
 the oracle backend.
@@ -73,11 +74,11 @@ def quadrature_coefficients(params: FractionalParams) -> tuple[float, float]:
 
     Both are nonnegative with c1 + c2 > 0 on the admissible region, and
     c1(alpha, theta) = c2(alpha, -theta) exactly.  At alpha = 2 both vanish
-    and the classical backend must be used instead.
+    and ``assemble_operator_matrix`` uses the second difference instead.
     """
     if params.alpha == 2.0:
         raise DegenerateCoefficientsError(
-            "c1 = c2 = 0 at alpha = 2; use the classical Laplacian backend")
+            "c1 = c2 = 0 at alpha = 2; the operator is the second difference")
     g = math.gamma(1.0 + params.alpha)
     c1 = g * math.sin((params.alpha + params.theta) * math.pi / 2) / math.pi
     c2 = g * math.sin((params.alpha - params.theta) * math.pi / 2) / math.pi
@@ -198,10 +199,6 @@ def _quadrature_stencil(grid: Grid1D, params: FractionalParams,
     return OperatorMatrix(grid, weights, far)
 
 
-def _laplacian_stencil(grid: Grid1D) -> OperatorMatrix:
-    return OperatorMatrix(grid, np.array([1.0, 0.0, 1.0]) / grid.h ** 2)
-
-
 def apply_riesz_feller(
     u: np.ndarray,
     grid: Grid1D,
@@ -209,7 +206,7 @@ def apply_riesz_feller(
     ghosts: GhostPolicy = "projection",
     tail_correction: bool = False,
 ) -> np.ndarray:
-    """Apply the quadrature discretization of the operator to a profile.
+    """Apply ``assemble_operator_matrix(grid, params, tail_correction)``.
 
     Parameters
     ----------
@@ -219,17 +216,14 @@ def apply_riesz_feller(
         Off-domain value policy (see module docstring).
     tail_correction : bool
         Add the closed-form (b, inf) contribution assuming the profile is
-        constant beyond the domain at the boundary node values.
+        constant beyond the domain at the boundary node values (inert at
+        alpha = 2).
 
     Constants are annihilated exactly (all terms are value differences);
     affine profiles are annihilated to roundoff under exact ghosts.
     """
     u = validate_state(u, grid)
-    if params.is_classical:
-        raise DegenerateCoefficientsError(
-            "quadrature scheme requires 1 < alpha < 2; "
-            "use classical_laplacian_apply at alpha = 2")
-    v = _quadrature_stencil(grid, params, tail_correction).matvec(u, ghosts)
+    v = assemble_operator_matrix(grid, params, tail_correction).matvec(u, ghosts)
     if not np.all(np.isfinite(v)):
         raise NonFiniteError("operator output contains NaN or Inf")
     return v
@@ -246,7 +240,7 @@ def assemble_operator_matrix(
     integral coefficients degenerate there); the tail flag is then inert.
     """
     if params.is_classical:
-        return _laplacian_stencil(grid)
+        return OperatorMatrix(grid, np.array([1.0, 0.0, 1.0]) / grid.h ** 2)
     return _quadrature_stencil(grid, params, tail_correction)
 
 
@@ -300,13 +294,6 @@ def spectral_apply(u: np.ndarray, period: float, params: FractionalParams) -> np
     k = len(u)
     xi = 2.0 * np.pi * np.fft.fftfreq(k, d=period / k)
     return np.fft.fft(riesz_feller_symbol(params, xi) * np.fft.ifft(u)).real
-
-
-def classical_laplacian_apply(
-    u: np.ndarray, grid: Grid1D, ghosts: GhostPolicy = "projection"
-) -> np.ndarray:
-    """Second central difference (the alpha = 2 endpoint)."""
-    return _laplacian_stencil(grid).matvec(validate_state(u, grid), ghosts)
 
 
 def free_space_reference(

@@ -1,6 +1,6 @@
 """Method-of-lines time integration for du/dt = D u + f(u).
 
-Three steppers:
+Two steppers, named in ``METHODS``:
 
 * ``semi-implicit``: backward Euler on the linear operator, explicit
   reaction.  One dense inverse per (matrix, dt), reused across the run,
@@ -8,11 +8,8 @@ Three steppers:
 * ``rk-adaptive``: explicit embedded Dormand-Prince 5(4) pair with the
   standard safety-factored step controller.  Matrix-free: its right-hand
   side applies the operator's stencil by FFT.
-* ``spectral-imex``: per-mode implicit Euler on the Fourier symbol with the
-  reaction evaluated in physical space.  Periodic problems only (kernel and
-  decay studies), not traveling fronts on a truncated domain.
 
-``integrate`` drives any of them through a snapshot schedule, landing on
+``integrate`` drives either of them through a snapshot schedule, landing on
 each requested time exactly (the reported times are the schedule's floats).
 """
 
@@ -20,31 +17,24 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DivergedError,
-    OutOfRangeError,
-    StepLimitError,
-    StepUnderflowError,
-    UnsupportedError,
-)
+from .errors import DivergedError, OutOfRangeError, StepLimitError, StepUnderflowError
 from .grids import FractionalParams, Grid1D, validate_state
-from .operators import OperatorMatrix, assemble_operator_matrix, riesz_feller_symbol
+from .operators import OperatorMatrix, assemble_operator_matrix
 from .reaction import BistableCubic
 
 DIVERGENCE_THRESHOLD = 1e6  # far above the [0, ~1.5] range of all experiments
 
-METHODS = ("semi-implicit", "rk-adaptive", "spectral-imex")
+METHODS = ("semi-implicit", "rk-adaptive")
 
 
 @dataclass(frozen=True)
 class StepperConfig:
     method: str = "semi-implicit"
-    dt: float = 0.02                 # fixed-step methods
+    dt: float = 0.02                 # semi-implicit
     abs_tol: float = 1e-6            # rk-adaptive
     rel_tol: float = 1e-6
     dt_initial: float = 1e-3
@@ -53,7 +43,7 @@ class StepperConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise OutOfRangeError(
-                f"method must be one of {METHODS}, got {self.method!r}", "method")
+                f"stepper must be one of {METHODS}, got {self.method!r}", "stepper")
         for name in ("dt", "abs_tol", "rel_tol", "dt_initial", "max_steps"):
             value = getattr(self, name)
             if not 0 < value < np.inf:
@@ -169,32 +159,6 @@ def step_explicit_rk(u, t, dt_try, rhs, abs_tol, rel_tol):
 
 
 # ---------------------------------------------------------------------------
-# periodic spectral IMEX
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=64)
-def _imex_denominator(k: int, dt: float, alpha: float, theta: float,
-                      period: float) -> np.ndarray:
-    xi = 2.0 * np.pi * np.fft.fftfreq(k, d=period / k)
-    return 1.0 - dt * riesz_feller_symbol(FractionalParams(alpha, theta), xi)
-
-
-def step_spectral_imex(modes: np.ndarray, dt: float, params: FractionalParams,
-                       period: float, nl: Optional[BistableCubic]) -> np.ndarray:
-    """Per-mode implicit Euler: modes <- (modes + dt*fhat) / (1 - dt*psi).
-
-    ``modes`` are the inverse-DFT coefficients of the physical state (so the
-    state is recovered by the forward DFT); the reaction is evaluated in
-    physical space and transformed back.
-    """
-    denom = _imex_denominator(len(modes), dt, params.alpha, params.theta, period)
-    if nl is None:
-        return modes / denom
-    u = np.fft.fft(modes).real
-    return (modes + dt * np.fft.ifft(nl.f(u))) / denom
-
-
-# ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
 
@@ -217,14 +181,14 @@ def integrate(
 ) -> SimulationResult:
     """Advance the initial profile through the snapshot schedule.
 
-    Snapshots are taken exactly at the scheduled times (fixed-step methods
-    truncate the final step of each interval; the adaptive method clips its
-    proposals at the boundary).  Deterministic for fixed inputs.  Raises
+    Snapshots are taken exactly at the scheduled times (the semi-implicit
+    method truncates the final step of each interval; the adaptive method
+    clips its proposals at the boundary).  Deterministic for fixed inputs.  Raises
     ``DivergedError`` if the solution magnitude exceeds 1e6.
     """
     schedule = _check_schedule(schedule)
     u = validate_state(ic, grid).copy()
-    if cfg.method != "spectral-imex" and operator is None:
+    if operator is None:
         operator = assemble_operator_matrix(grid, params, tail_correction)
 
     t_final = schedule[-1] if schedule[-1] > 0 else 1.0
@@ -243,21 +207,13 @@ def integrate(
         stats["u_min"] = min(stats["u_min"], float(v.min()))
         stats["u_max"] = max(stats["u_max"], float(v.max()))
 
-    if cfg.method == "spectral-imex":
-        period = grid.n * grid.h
-        modes = np.fft.ifft(u)
-        for k in range(1, len(schedule)):
-            for s in _fixed_steps(schedule[k] - schedule[k - 1], cfg.dt):
-                modes = step_spectral_imex(modes, s, params, period, nl)
-                bookkeep(np.fft.fft(modes).real)
-            states.append(np.fft.fft(modes).real)
-    elif cfg.method == "semi-implicit":
+    if cfg.method == "semi-implicit":
         for k in range(1, len(schedule)):
             for s in _fixed_steps(schedule[k] - schedule[k - 1], cfg.dt):
                 u = step_semi_implicit(u, s, operator, nl)
                 bookkeep(u)
             states.append(u.copy())
-    elif cfg.method == "rk-adaptive":
+    else:  # rk-adaptive
         def rhs(_t, v):
             Av = operator.matvec(v)
             return Av + nl.f(v) if nl is not None else Av
@@ -284,8 +240,6 @@ def integrate(
                 # a boundary-clipped step must not shrink the controller state
                 dt = max(dt, dt_next) if (clipped and accepted) else dt_next
             states.append(u.copy())
-    else:  # pragma: no cover
-        raise UnsupportedError(cfg.method)
 
     stats["wall_time_s"] = time.perf_counter() - wall0
     return SimulationResult(times=schedule.copy(), states=np.array(states),

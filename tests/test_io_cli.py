@@ -19,6 +19,7 @@ from fracfront import (
     OutOfRangeError,
     RunConfig,
     apply_riesz_feller,
+    assemble_operator_matrix,
     estimate_speed,
     green_function,
     read_config_file,
@@ -238,6 +239,24 @@ class TestCLI:
         assert (tmp_path / "applied.csv").read_bytes() == _repr_csv(
             "x,Du", profile.grid.x, v)
 
+    def test_apply_classical_order(self, tmp_path, capsys):
+        # alpha = 2 is admissible: apply uses the second difference that
+        # assemble_operator_matrix dispatches to
+        main(self._simulate_args(tmp_path / "run"))
+        rc = main(["apply", "--alpha", "2", "--theta", "0",
+                   "--input", str(tmp_path / "run" / "snapshots.csv"),
+                   "--out", str(tmp_path / "applied.csv")])
+        assert rc == 0
+        profile = result_from_csv(tmp_path / "run" / "snapshots.csv")
+        classical = FractionalParams(2.0, 0.0)
+        v = apply_riesz_feller(profile.final, profile.grid, classical)
+        assert (tmp_path / "applied.csv").read_bytes() == _repr_csv(
+            "x,Du", profile.grid.x, v)
+        # the FFT apply equals the dense second difference to roundoff
+        dense = (assemble_operator_matrix(profile.grid, classical).entries
+                 @ profile.final)
+        assert np.max(np.abs(v - dense)) <= 1e-13 * np.max(np.abs(dense))
+
     def test_apply_missing_input_exits_1(self, tmp_path, capsys):
         rc = main(["apply", "--alpha", "1.8", "--theta", "0.1",
                    "--input", str(tmp_path / "nope.csv"),
@@ -422,8 +441,42 @@ class TestExitCodes:
         err = self._exits_2(["sweep", "--alphas", "1.5", "--thetas", "0,0.9",
                              "--a-list", "0.5", *self.SMALL_RUN,
                              "--out", str(tmp_path / "sw")], capsys)
-        assert "--theta:" in err
+        assert "--thetas:" in err
         assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("lists,flag", [
+        (["--alphas", "2.5", "--thetas", "0", "--a-list", "0.5"], "--alphas"),
+        (["--alphas", "1.5", "--thetas", "0", "--a-list", "1.5"], "--a-list"),
+    ], ids=["alphas", "a-list"])
+    def test_sweep_error_names_its_list_flag(self, tmp_path, capsys, lists, flag):
+        err = self._exits_2(["sweep", *lists, *self.SMALL_RUN,
+                             "--out", str(tmp_path / "sw")], capsys)
+        assert f"{flag}:" in err
+        assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--theta", "--a"])
+    def test_sweep_has_no_single_value_flags(self, tmp_path, capsys, flag):
+        # sweep takes these from its lists; a single value would be overridden
+        err = self._exits_2(["sweep", "--alphas", "1.5", "--thetas", "0",
+                             "--a-list", "0.5", f"{flag}=0.3", *self.SMALL_RUN,
+                             "--out", str(tmp_path / "sw")], capsys)
+        assert "unrecognized arguments" in err
+        assert not (tmp_path / "sw").exists()
+
+    def test_errors_print_the_subcommand_usage(self, tmp_path, capsys):
+        three_nodes = ["simulate", "--alpha", "1.5", "--theta", "0", "--n", "3",
+                       "--out", str(tmp_path / "run")]
+        assert self._exits_2(three_nodes, capsys).startswith(
+            "usage: fracfront simulate")
+        no_theta = ["simulate", "--alpha", "1.5", "--out", str(tmp_path / "run")]
+        err = self._exits_2(no_theta, capsys)
+        assert err.startswith("usage: fracfront simulate")
+        assert "--alpha and --theta are required" in err
+        assert main(["simulate", "--alpha", "1.5", "--theta", "0",
+                     *self.SMALL_RUN, "--out", str(tmp_path / "ok")]) == 0
+        err = self._exits_2(["speed", "--run", str(tmp_path / "ok"),
+                             "--level", "nan"], capsys)
+        assert err.startswith("usage: fracfront speed")
 
 
 def test_import_loads_no_scipy():

@@ -12,7 +12,6 @@ from fracfront import (
     UnsupportedError,
     apply_riesz_feller,
     assemble_operator_matrix,
-    classical_laplacian_apply,
     free_space_reference,
     grunwald_letnikov_apply,
     grunwald_letnikov_weights,
@@ -23,6 +22,7 @@ from fracfront import (
 from fracfront.selftest import admissible_lattice
 
 GAUSS = lambda x: np.exp(-x ** 2)
+CLASSICAL = FractionalParams(2.0, 0.0)   # the second difference
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +112,6 @@ class TestQuadratureApply:
                                    ghosts=affine)
             assert np.max(np.abs(v)) <= 1e-10
 
-    def test_rejects_classical_order(self):
-        g = Grid1D(10.0, 21)
-        with pytest.raises(DegenerateCoefficientsError):
-            apply_riesz_feller(np.zeros(g.n), g, FractionalParams(2.0, 0.0))
-
     def test_gaussian_matches_oracle(self):
         # free-space comparison at the resolution of the operator example
         g = Grid1D(30.0, 1601)
@@ -187,7 +182,7 @@ class TestAssembledMatrix:
         g = Grid1D(2.0, 9)
         A = assemble_operator_matrix(g, FractionalParams(2.0, 0.0))
         u = np.sin(g.x)
-        assert np.allclose(A.entries @ u, classical_laplacian_apply(u, g),
+        assert np.allclose(A.entries @ u, apply_riesz_feller(u, g, CLASSICAL),
                            atol=1e-13)
 
 
@@ -410,18 +405,18 @@ class TestSpectral:
 class TestClassicalLaplacian:
     def test_constant(self):
         g = Grid1D(5.0, 21)
-        assert np.all(classical_laplacian_apply(np.full(21, 3.3), g) == 0.0)
+        assert np.all(apply_riesz_feller(np.full(21, 3.3), g, CLASSICAL) == 0.0)
 
     def test_exact_on_quadratics(self):
         g = Grid1D(5.0, 21)
         sq = lambda x: x ** 2
-        v = classical_laplacian_apply(sq(g.x), g, ghosts=sq)
+        v = apply_riesz_feller(sq(g.x), g, CLASSICAL, ghosts=sq)
         assert np.max(np.abs(v - 2.0)) <= 1e-9
 
     def test_discrete_symbol(self):
         g = Grid1D(np.pi, 41)
         k = 2.0
         wave = lambda x: np.sin(k * x)
-        v = classical_laplacian_apply(wave(g.x), g, ghosts=wave)
+        v = apply_riesz_feller(wave(g.x), g, CLASSICAL, ghosts=wave)
         expected = -(4 / g.h ** 2) * np.sin(k * g.h / 2) ** 2 * wave(g.x)
         assert np.max(np.abs(v - expected)) <= 1e-9

@@ -9,23 +9,22 @@ from fracfront import (
     OutOfRangeError,
     quadrature_coefficients,
     quadrature_nodes_weights,
-    validate_params,
     validate_state,
 )
 
 
 class TestParams:
     def test_boundary_skewness_admitted(self):
-        p = validate_params(1.5, 0.5)  # min(1.5, 0.5) = 0.5: on the edge
+        p = FractionalParams(1.5, 0.5)  # min(1.5, 0.5) = 0.5: on the edge
         assert (p.alpha, p.theta) == (1.5, 0.5)
 
     def test_classical_endpoint_forces_zero_skewness(self):
-        validate_params(2.0, 0.0)
+        FractionalParams(2.0, 0.0)
         with pytest.raises(OutOfRangeError):
-            validate_params(2.0, 0.1)
+            FractionalParams(2.0, 0.1)
 
     def test_representative_parameters_admissible(self):
-        assert validate_params(1.8, 0.1).theta == 0.1
+        assert FractionalParams(1.8, 0.1).theta == 0.1
 
     @pytest.mark.parametrize("alpha,theta", [
         (2.5, 0.0), (1.0, 0.0), (0.5, 0.0), (1.5, 0.6), (1.2, -0.9),
@@ -33,7 +32,7 @@ class TestParams:
     ])
     def test_out_of_range(self, alpha, theta):
         with pytest.raises(OutOfRangeError):
-            validate_params(alpha, theta)
+            FractionalParams(alpha, theta)
 
     @pytest.mark.parametrize("alpha,theta", [
         (1.1, 0.9), (1.1, -0.9), (1.6, 0.4), (1.6, -0.4),
@@ -41,7 +40,7 @@ class TestParams:
     def test_rounded_down_edge_admitted(self, alpha, theta):
         # 2.0 - alpha rounds below |theta| here, yet the pair is the edge
         assert 2.0 - alpha < abs(theta)
-        c1, c2 = quadrature_coefficients(validate_params(alpha, theta))
+        c1, c2 = quadrature_coefficients(FractionalParams(alpha, theta))
         assert c1 >= 0.0 and c2 >= 0.0
 
 

@@ -12,19 +12,18 @@ from fracfront import (
     StepLimitError,
     StepperConfig,
     assemble_operator_matrix,
-    green_function,
     integrate,
     make_schedule,
     step_explicit_rk,
     step_semi_implicit,
-    step_spectral_imex,
 )
 
 
 class TestConfig:
     def test_bad_method(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(OutOfRangeError) as exc:
             StepperConfig(method="bdf")
+        assert exc.value.param == "stepper"
 
     def test_bad_dt(self):
         with pytest.raises(OutOfRangeError):
@@ -34,8 +33,7 @@ class TestConfig:
         with pytest.raises(OutOfRangeError):
             StepperConfig(method="rk-adaptive", abs_tol=0.0)
 
-    @pytest.mark.parametrize("method", ["semi-implicit", "rk-adaptive",
-                                        "spectral-imex"])
+    @pytest.mark.parametrize("method", ["semi-implicit", "rk-adaptive"])
     @pytest.mark.parametrize("name", ["dt", "abs_tol", "rel_tol", "dt_initial",
                                       "max_steps"])
     def test_every_field_checked_for_every_method(self, method, name):
@@ -159,76 +157,6 @@ class TestExplicitRK:
                 u, 0.0, dt, rhs, 1e-8, 1e-8)
             assert 0.2 - 1e-12 <= dt_next / dt_used <= 5.0 + 1e-12
             dt = dt_next
-
-
-class TestSpectralIMEX:
-    def test_single_mode_decays(self):
-        n, period = 64, 10.0
-        p = FractionalParams(1.5, 0.0)
-        x = period * np.arange(n) / n
-        modes = np.fft.ifft(np.cos(2 * np.pi * 3 * x / period))
-        mags = [np.abs(modes).max()]
-        for _ in range(5):
-            modes = step_spectral_imex(modes, 0.05, p, period, None)
-            mags.append(np.abs(modes).max())
-        assert all(m1 < m0 for m0, m1 in zip(mags, mags[1:]))
-
-    def test_heat_decay_rate(self):
-        # backward Euler vs exp(-xi^2 t): first order in dt
-        n, period = 64, 2 * np.pi
-        p = FractionalParams(2.0, 0.0)
-        x = period * np.arange(n) / n
-        k = 2.0
-        u0 = np.cos(k * x)
-
-        def relative_error(dt, nsteps):
-            modes = np.fft.ifft(u0)
-            for _ in range(nsteps):
-                modes = step_spectral_imex(modes, dt, p, period, None)
-            u = np.fft.fft(modes).real
-            exact = np.exp(-k ** 2 * dt * nsteps) * u0
-            return np.max(np.abs(u - exact)) / np.max(np.abs(exact))
-
-        e1 = relative_error(0.01, 100)
-        e2 = relative_error(0.005, 200)
-        assert e1 <= 0.1
-        assert 1.5 <= e1 / e2 <= 2.5
-
-    def test_delta_route_matches_kernel(self):
-        # two routes to the diffusion kernel: direct inversion of exp(t*psi)
-        # versus 250k implicit per-mode steps from a discrete delta
-        p = FractionalParams(1.5, 0.3)
-        window, k = 800.0, 4096
-        dx = window / k
-        x, g = green_function(p, 1.0, window=window, k_modes=k)
-        u0 = np.zeros(k)
-        u0[k // 2] = 1.0 / dx
-        dt = 4e-6
-        nsteps = 250_000
-        modes = np.fft.ifft(u0)
-        for _ in range(nsteps):
-            modes = step_spectral_imex(modes, dt, p, window, None)
-        u = np.fft.fft(modes).real
-        assert np.max(np.abs(u - g)) <= 1e-6
-
-
-class TestSpectralIMEXIntegration:
-    def test_periodic_diffusion_matches_closed_form(self):
-        # linear periodic problem: integrate() vs the exact mode decay
-        g = Grid1D(20.0, 129)           # period n*h
-        p = FractionalParams(1.6, 0.3)
-        period = g.n * g.h
-        ic = np.exp(-g.x ** 2)
-        cfg = StepperConfig(method="spectral-imex", dt=1e-3)
-        res = integrate(ic, make_schedule(0.5, 3), cfg, g, p, None)
-        from fracfront.operators import riesz_feller_symbol
-        xi = 2 * np.pi * np.fft.fftfreq(g.n, d=g.h)
-        exact = np.fft.fft(np.exp(0.5 * riesz_feller_symbol(p, xi))
-                           * np.fft.ifft(ic)).real
-        assert np.max(np.abs(res.final - exact)) <= 2e-3   # O(dt)
-        # mode 0 is untouched: the spatial mean is conserved exactly
-        assert np.mean(res.final) == pytest.approx(np.mean(ic), abs=1e-13)
-        assert np.all(res.times == make_schedule(0.5, 3))
 
 
 class TestIntegrate:
