@@ -23,7 +23,7 @@ from . import __version__
 from .diagnostics import estimate_decay_rate, estimate_speed, green_function
 from .errors import FracfrontError, OutOfRangeError
 from .grids import FractionalParams
-from .operators import apply_riesz_feller
+from .operators import apply_riesz_feller, assemble_operator_matrix
 from .runio import (
     RunConfig,
     read_config_file,
@@ -84,8 +84,8 @@ def _cmd_simulate(parser, args) -> int:
     return 0
 
 
-def _run_and_write(config: RunConfig):
-    result, diag = run_simulation(config)
+def _run_and_write(config: RunConfig, operator=None):
+    result, diag = run_simulation(config, operator)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_snapshot_csv(result, out_dir / "snapshots.csv")
@@ -154,8 +154,17 @@ def _cmd_sweep(parser, args) -> int:
         except OutOfRangeError as exc:   # name the list flag the value came from
             exc.param = _SWEEP_LISTS.get(exc.param, exc.param)
             raise
+    # the loops run a innermost, so configurations sharing (alpha, theta)
+    # are consecutive and share one operator and its cached inverse
+    operator, key = None, None
     for config in configs:
-        _run_and_write(config)
+        if (config.alpha, config.theta) != key:
+            operator = None   # release the old inverse before the next is built
+            params, grid, *_ = config.validated()
+            operator = assemble_operator_matrix(grid, params,
+                                                config.tail_correction)
+            key = (config.alpha, config.theta)
+        _run_and_write(config, operator)
     return 0
 
 

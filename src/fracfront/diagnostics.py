@@ -20,7 +20,7 @@ from .errors import (
     OutOfRangeError,
     WindowTooSmallError,
 )
-from .grids import FractionalParams, Grid1D
+from .grids import FractionalParams, Grid1D, validate_state
 from .operators import riesz_feller_symbol
 from .reaction import BistableCubic
 from .stepping import SimulationResult, StepperConfig, integrate
@@ -129,16 +129,50 @@ def _translate(u: np.ndarray, x: np.ndarray, s: float) -> np.ndarray:
     return np.interp(x - s, x, u)
 
 
+SCAN_BLOCK_DOUBLES = 16384      # work buffer of the whole-cell scan (128 KiB)
+
+
+def _whole_cell_residuals(u1: np.ndarray, u2: np.ndarray,
+                          kmax: int) -> np.ndarray:
+    """max|u2 - u1(. - k h)| for k = -kmax..kmax, clamped ends.
+
+    Row r of the windows over ``u1`` padded with ``kmax`` end values on each
+    side is u1 translated by ``(kmax - r)`` cells, so reversing the row
+    residuals orders them by k.  Rows are taken in blocks through one buffer.
+    """
+    n = len(u1)
+    padded = np.concatenate([np.full(kmax, u1[0]), u1, np.full(kmax, u1[-1])])
+    rows = np.lib.stride_tricks.sliding_window_view(padded, n)
+    per_block = max(1, SCAN_BLOCK_DOUBLES // n)
+    buf = np.empty((min(per_block, len(rows)), n))
+    vals = np.empty(len(rows))
+    for r0 in range(0, len(rows), per_block):
+        chunk = rows[r0:r0 + per_block]
+        block = buf[:len(chunk)]
+        np.subtract(u2, chunk, out=block)
+        np.abs(block, out=block)
+        np.max(block, axis=1, out=vals[r0:r0 + len(chunk)])
+    return vals[::-1]
+
+
 def shift_matched_residual(u1: np.ndarray, u2: np.ndarray,
                            grid: Grid1D) -> tuple[float, float]:
     """Minimal L-inf distance between u2 and translates of u1.
 
-    Scans whole grid cells over shifts in [-b/2, b/2], then refines by
-    golden-section search; off-grid values by linear interpolation.
-    Returns ``(residual, shift)`` with ``u2 ~ u1(. - shift)``.
+    Scans every whole-cell shift in [-b/2, b/2] in one pass over windows of
+    ``u1`` padded with its end values.  On the uniform grid a whole-cell
+    translate with clamped ends is exactly what linear interpolation at
+    ``x - k h`` returns, so the scan equals a per-shift interpolation loop
+    up to rounding in the interpolation.  The rows are evaluated in blocks
+    through one reused buffer of ``SCAN_BLOCK_DOUBLES`` doubles (one row when
+    n is larger), never as the full (2 kmax + 1) x n difference.  The best
+    shift is refined by golden-section search within one cell either side,
+    off-grid values by linear interpolation; on plateaus the whole-cell
+    winner is kept.  Returns ``(residual, shift)`` with
+    ``u2 ~ u1(. - shift)``.
     """
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
+    u1 = validate_state(u1, grid)
+    u2 = validate_state(u2, grid)
     x = grid.x
 
     def res(s):
@@ -146,7 +180,7 @@ def shift_matched_residual(u1: np.ndarray, u2: np.ndarray,
 
     kmax = int(grid.b / 2 / grid.h)
     coarse = np.arange(-kmax, kmax + 1) * grid.h
-    vals = [res(s) for s in coarse]
+    vals = _whole_cell_residuals(u1, u2, kmax)
     i = int(np.argmin(vals))
     lo = coarse[max(0, i - 1)]
     hi = coarse[min(len(coarse) - 1, i + 1)]
@@ -170,7 +204,7 @@ def shift_matched_residual(u1: np.ndarray, u2: np.ndarray,
     shift = 0.5 * (a + b)
     best = res(shift)
     if vals[i] < best:  # keep the coarse winner on plateaus
-        return vals[i], float(coarse[i])
+        return float(vals[i]), float(coarse[i])
     return best, float(shift)
 
 

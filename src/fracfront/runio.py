@@ -5,6 +5,11 @@ CSV layout: first column ``x``, then one column per snapshot headed
 form (times without a trailing ``.0``), so reading the file back recovers
 the exact doubles; identical configurations therefore produce
 byte-identical files.
+
+Read-back rejects what no run writes: ``read_profile_csv`` refuses NaN or
+Inf times and values, and ``result_from_csv`` refuses an x column that
+is not exactly the uniform grid ``Grid1D(-x[0], n).x`` it rebuilds, so
+diagnostics never run on data the grid does not describe.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from . import __version__
 from .diagnostics import estimate_decay_rate, estimate_speed, make_ic
 from .errors import FracfrontError, OutOfRangeError
 from .grids import FractionalParams, Grid1D, quadrature_nodes_weights
-from .operators import quadrature_coefficients
+from .operators import OperatorMatrix, quadrature_coefficients
 from .reaction import BistableCubic
 from .stepping import SimulationResult, StepperConfig, integrate, make_schedule
 
@@ -61,16 +66,21 @@ class RunConfig:
         return params, grid, nl, cfg, schedule
 
 
-def run_simulation(config: RunConfig) -> tuple[SimulationResult, dict]:
+def run_simulation(config: RunConfig,
+                   operator: Optional[OperatorMatrix] = None
+                   ) -> tuple[SimulationResult, dict]:
     """Run one configuration and measure the standard diagnostics.
 
-    The returned dict holds the front speed and decay-rate fit when they are
+    ``operator``, when given, is the configuration's assembled operator (it
+    keeps its cached inverses); by default one is built for this run.  The
+    returned dict holds the front speed and decay-rate fit when they are
     measurable for the run (None entries otherwise).
     """
     params, grid, nl, cfg, schedule = config.validated()
     ic = make_ic(config.ic, grid, config.step_lo, config.step_hi)
     result = integrate(ic, schedule, cfg, grid, params, nl,
-                       tail_correction=config.tail_correction)
+                       tail_correction=config.tail_correction,
+                       operator=operator)
     diag = {"speed": None, "speed_intercept": None, "speed_residual": None,
             "decay_rate": None, "decay_r_squared": None}
     try:
@@ -135,17 +145,26 @@ def read_profile_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         data = np.array([[float(v) for v in row] for row in lines[1:]])
     except ValueError as exc:
         raise FracfrontError(f"{path}: {exc}") from exc
+    if not (np.all(np.isfinite(data)) and np.all(np.isfinite(times))):
+        raise FracfrontError(f"{path}: contains NaN or Inf values")
     return data[:, 0], times, data[:, 1:].T
 
 
 def result_from_csv(path, a: Optional[float] = None) -> SimulationResult:
-    """Rebuild a minimal result object from a saved CSV (for re-diagnosis)."""
+    """Rebuild a minimal result object from a saved CSV (for re-diagnosis).
+
+    The x column must be exactly the nodes of ``Grid1D(-x[0], len(x))``.
+    """
     x, times, states = read_profile_csv(path)
     try:
         grid = Grid1D(b=-x[0], n=len(x))
         nl = BistableCubic(a) if a is not None else None
     except OutOfRangeError as exc:
         raise FracfrontError(f"{path}: {exc}") from exc
+    if not np.array_equal(x, grid.x):
+        raise FracfrontError(
+            f"{path}: x column is not the uniform grid on [{x[0]!r}, {-x[0]!r}] "
+            f"with {len(x)} nodes")
     return SimulationResult(times=times, states=states, grid=grid,
                             params=None, nl=nl,
                             stepper=StepperConfig(), stats={})

@@ -1,5 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracfront import (
     BistableCubic,
@@ -135,6 +140,112 @@ class TestShiftMatching:
         residual, shift = shift_matched_residual(prof(g.x), prof(g.x - s), g)
         assert residual <= 5e-3          # linear-interpolation floor
         assert shift == pytest.approx(s, abs=0.05)
+
+
+def _shift_residual_reference(u1, u2, grid):
+    """The per-shift scan: one np.interp per whole-cell shift, then the same
+    golden section and plateau rule, as the library computed it before the
+    blocked window scan.  Returns ``(residual, shift, whole-cell residuals)``."""
+    u1 = np.asarray(u1, dtype=float)
+    u2 = np.asarray(u2, dtype=float)
+    x = grid.x
+
+    def res(s):
+        return float(np.max(np.abs(u2 - np.interp(x - s, x, u1))))
+
+    kmax = int(grid.b / 2 / grid.h)
+    coarse = np.arange(-kmax, kmax + 1) * grid.h
+    vals = [res(s) for s in coarse]
+    i = int(np.argmin(vals))
+    lo = coarse[max(0, i - 1)]
+    hi = coarse[min(len(coarse) - 1, i + 1)]
+
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = res(c), res(d)
+    for _ in range(80):
+        if b - a < 1e-13 * max(1.0, grid.b):
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = res(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = res(d)
+    shift = 0.5 * (a + b)
+    best = res(shift)
+    if vals[i] < best:  # keep the coarse winner on plateaus
+        return vals[i], float(coarse[i]), vals
+    return best, float(shift), vals
+
+
+@st.composite
+def _profiles(draw, grid):
+    """A smooth ramp, a step, a flat array or a random array on ``grid``."""
+    kind = draw(st.sampled_from(["ramp", "step", "flat", "random"]))
+    base = draw(st.floats(-2.0, 2.0))
+    jump = draw(st.floats(0.1, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    centre = draw(st.floats(-grid.b, grid.b))
+    if kind == "ramp":
+        width = draw(st.floats(0.1, grid.b))
+        return base + jump / (1.0 + np.exp(-(grid.x - centre) / width))
+    if kind == "step":
+        return step_profile(grid.x - centre, base, base + jump)
+    if kind == "flat":
+        return np.full(grid.n, base)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return rng.uniform(-1.0, 1.0, grid.n)
+
+
+class TestShiftScanMatchesReference:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_per_shift_interpolation(self, data):
+        n = data.draw(st.integers(2, 800)) * 2 + 1
+        grid = Grid1D(data.draw(st.floats(1.0, 50.0)), n)
+        u1 = data.draw(_profiles(grid))
+        if data.draw(st.booleans()):
+            u2 = data.draw(_profiles(grid))
+        else:   # a near-translate, as in a decay fit
+            s = data.draw(st.floats(-grid.b / 2, grid.b / 2))
+            u2 = np.interp(grid.x - s, grid.x, u1) + data.draw(st.floats(-0.1, 0.1))
+        want_r, want_s, coarse = _shift_residual_reference(u1, u2, grid)
+        got_r, got_s = shift_matched_residual(u1, u2, grid)
+        # np.interp at x - k*h rounds near the node it lands on: an absolute
+        # error of a few ulps of the profile scale, which the exact window
+        # scan does not make
+        floor = 4 * np.finfo(float).eps * max(np.max(np.abs(u1)), np.max(np.abs(u2)))
+        best = min(coarse)
+        if np.count_nonzero(np.array(coarse) <= best + floor) > 1:
+            # whole cells tie up to that rounding, so either scan may refine
+            # around a different one of them; both keep the plateau value
+            assert got_r <= best + floor
+            return
+        if want_r == 0.0:
+            assert got_r == 0.0
+        assert abs(got_r - want_r) <= 1e-12 * want_r + floor
+        assert got_s == pytest.approx(want_s, abs=1e-9)
+
+    def test_scan_memory_is_bounded(self):
+        g = Grid1D(30.0, 1601)
+        u1, u2 = chen_ramp(g.x), chen_ramp(g.x - 1.3)
+        shift_matched_residual(u1, u2, g)   # warm up lazy imports and caches
+        tracemalloc.start()
+        try:
+            shift_matched_residual(u1, u2, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 2 ** 20   # the full 801 x 1601 difference is 9.8 MiB
+
+    def test_wrong_shape_reference_is_rejected(self):
+        g = Grid1D(30.0, 181)
+        with pytest.raises(OutOfRangeError):
+            shift_matched_residual(chen_ramp(g.x), chen_ramp(g.x)[:-1], g)
 
 
 class TestDecayEstimate:

@@ -306,6 +306,32 @@ class TestCLI:
         assert thetas == {-0.1, 0.1}
         assert seeds == {7}
 
+    def test_sweep_builds_one_operator_per_pair(self, tmp_path, capsys,
+                                                 monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args[1])
+            return assemble_operator_matrix(*args, **kwargs)
+
+        for module in ("fracfront.cli", "fracfront.stepping"):
+            monkeypatch.setattr(f"{module}.assemble_operator_matrix", counting)
+        flags = ["--n", "61", "--b", "10", "--t-final", "0.5", "--dt", "0.05",
+                 "--snapshots", "3"]
+        assert main(["sweep", "--alphas", "1.5", "--thetas=-0.1,0.1",
+                     "--a-list", "0.4,0.6", *flags,
+                     "--out", str(tmp_path / "sw")]) == 0
+        assert [(p.alpha, p.theta) for p in built] == [(1.5, -0.1), (1.5, 0.1)]
+        for theta in ("-0.1", "0.1"):
+            for a in ("0.4", "0.6"):
+                alone = tmp_path / f"alone{theta}_{a}"
+                assert main(["simulate", "--alpha", "1.5", f"--theta={theta}",
+                             "--a", a, *flags, "--out", str(alone)]) == 0
+                swept = tmp_path / "sw" / f"alpha1.5_theta{theta}_a{a}"
+                assert ((swept / "snapshots.csv").read_bytes()
+                        == (alone / "snapshots.csv").read_bytes())
+        capsys.readouterr()
+
 
 class TestExitCodes:
     """Malformed input exits 1 (unreadable input file) or 2 (bad value, named
@@ -316,6 +342,9 @@ class TestExitCodes:
         "bad_header": "x,u@t=zz\n-1,0.1\n0,0.2\n1,0.3\n",
         "empty": "",
         "ragged": "x,u@t=0\n-1,0.1\n0,0.2,0.5\n1,0.3\n",
+        "nan_value": "x,u@t=0\n-1,0.1\n0,nan\n1,0.3\n",
+        "inf_time": "x,u@t=inf\n-1,0.1\n0,0.2\n1,0.3\n",
+        "off_grid_x": "x,u@t=0\n-1,0.1\n0.5,0.2\n1,0.3\n",
     }
     SMALL_RUN = ["--n", "21", "--b", "5", "--t-final", "0.1", "--dt", "0.05",
                  "--snapshots", "2"]
@@ -337,6 +366,28 @@ class TestExitCodes:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {path}")
         assert not (tmp_path / "a.csv").exists()
+
+    @pytest.mark.parametrize("defect", ["nan_cells", "shifted_x"])
+    def test_speed_unrepresentable_csv_exits_1(self, tmp_path, capsys, defect):
+        # a readable file whose diagnostics would silently skip the
+        # non-finite cells or use a grid its x column does not hold
+        assert main(["simulate", "--alpha", "1.8", "--theta", "0.1",
+                     "--n", "61", "--b", "10", "--t-final", "2.0",
+                     "--dt", "0.05", "--snapshots", "11",
+                     "--out", str(tmp_path)]) == 0
+        csv = tmp_path / "snapshots.csv"
+        header, *rows = [ln.split(",") for ln in csv.read_text().splitlines()]
+        if defect == "nan_cells":
+            rows[10][1] = rows[20][3] = "nan"
+        else:   # every x after the first moved by +5
+            for row in rows[1:]:
+                row[0] = repr(float(row[0]) + 5.0)
+        csv.write_text("\n".join(",".join(r) for r in [header, *rows]) + "\n")
+        capsys.readouterr()
+        assert main(["speed", "--run", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {csv}: ")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("text", ["{not json", '{"seed": 0}'])
     def test_speed_malformed_manifest_exits_1(self, tmp_path, capsys, text):
