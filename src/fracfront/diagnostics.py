@@ -157,19 +157,18 @@ def _whole_cell_residuals(u1: np.ndarray, u2: np.ndarray,
 
 def shift_matched_residual(u1: np.ndarray, u2: np.ndarray,
                            grid: Grid1D) -> tuple[float, float]:
-    """Minimal L-inf distance between u2 and translates of u1.
+    """L-inf distance between u2 and its best-matching translate of u1.
 
     Scans every whole-cell shift in [-b/2, b/2] in one pass over windows of
-    ``u1`` padded with its end values.  On the uniform grid a whole-cell
-    translate with clamped ends is exactly what linear interpolation at
-    ``x - k h`` returns, so the scan equals a per-shift interpolation loop
-    up to rounding in the interpolation.  The rows are evaluated in blocks
-    through one reused buffer of ``SCAN_BLOCK_DOUBLES`` doubles (one row when
-    n is larger), never as the full (2 kmax + 1) x n difference.  The best
-    shift is refined by golden-section search within one cell either side,
-    off-grid values by linear interpolation; on plateaus the whole-cell
-    winner is kept.  Returns ``(residual, shift)`` with
-    ``u2 ~ u1(. - shift)``.
+    ``u1`` padded with its end values, which is exactly linear interpolation
+    at ``x - k h``; rows go in blocks through one buffer of
+    ``SCAN_BLOCK_DOUBLES`` doubles (one row when n is larger).  Golden-section
+    search then refines within one cell either side of the best whole cell
+    only, off-grid values by linear interpolation; on plateaus the whole-cell
+    winner is kept.  For fronts this is the minimum over shifts; for
+    non-monotone profiles with several near-equal minima it is an upper bound,
+    as a lower minimum near another cell is not searched.  Returns
+    ``(residual, shift)`` with ``u2 ~ u1(. - shift)``.
     """
     u1 = validate_state(u1, grid)
     u2 = validate_state(u2, grid)

@@ -111,8 +111,8 @@ class OperatorMatrix:
     annihilated.  ``matvec`` applies the operator by FFT in O(n log n);
     ``entries`` is the dense matrix under projection ghosts, built afresh
     on each access, and ``entries @ u`` equals ``matvec(u)`` to roundoff.
-    The inverse of ``I - dt*entries`` is cached per dt for implicit
-    stepping; it is the only n x n array the operator keeps.
+    The inverse of ``I - dt*entries`` is cached for the latest dt only, for
+    implicit stepping; it is the only n x n array the operator keeps.
     """
 
     grid: Grid1D
@@ -160,8 +160,9 @@ class OperatorMatrix:
         return A
 
     def factorization(self, dt: float) -> np.ndarray:
-        """Cached inverse of ``I - dt * entries``, formed in a fresh array."""
+        """Inverse of ``I - dt * entries``, cached for the latest dt only."""
         if dt not in self._inverse_cache:
+            self._inverse_cache.clear()  # never two n x n arrays held
             M = self.entries
             M *= -dt
             M[np.diag_indices(self.grid.n)] += 1.0

@@ -72,7 +72,7 @@ def run_simulation(config: RunConfig,
     """Run one configuration and measure the standard diagnostics.
 
     ``operator``, when given, is the configuration's assembled operator (it
-    keeps its cached inverses); by default one is built for this run.  The
+    keeps its cached inverse); by default one is built for this run.  The
     returned dict holds the front speed and decay-rate fit when they are
     measurable for the run (None entries otherwise).
     """

@@ -248,6 +248,39 @@ class TestShiftScanMatchesReference:
             shift_matched_residual(chen_ramp(g.x), chen_ramp(g.x)[:-1], g)
 
 
+@st.composite
+def _front(draw, grid):
+    """A logistic or tanh front, optionally with 1e-4 noise."""
+    centre = draw(st.floats(-grid.b / 4, grid.b / 4))
+    width = draw(st.floats(0.5, 5.0))
+    z = (grid.x - centre) / width
+    if draw(st.booleans()):
+        u = 1.0 / (1.0 + np.exp(-z))
+    else:
+        u = 0.5 * (1.0 + np.tanh(z))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        u = u + 1e-4 * rng.standard_normal(grid.n)
+    return u
+
+
+class TestShiftMatchingIsMinimal:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_no_lower_residual_on_a_dense_scan(self, data):
+        n = data.draw(st.integers(5, 100)) * 2 + 1
+        grid = Grid1D(data.draw(st.floats(5.0, 50.0)), n)
+        u1, u2 = data.draw(_front(grid)), data.draw(_front(grid))
+        got, _ = shift_matched_residual(u1, u2, grid)
+        # 40 shifts per cell over the whole cells in [-b/2, b/2], the range
+        # the function scans
+        kmax = int(grid.b / 2 / grid.h)
+        shifts = np.arange(-40 * kmax, 40 * kmax + 1) * (grid.h / 40)
+        dense = min(float(np.max(np.abs(u2 - np.interp(grid.x - s, grid.x, u1))))
+                    for s in shifts)
+        assert got <= dense + 1e-12
+
+
 class TestDecayEstimate:
     def test_steady_run_has_nothing_to_fit(self):
         g = Grid1D(30.0, 181)

@@ -1,0 +1,38 @@
+"""The README quickstart and every demo run to completion as written."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _run_python(args):
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run([sys.executable, *args], env=env, cwd=ROOT,
+                          capture_output=True, text=True)
+
+
+def test_readme_quickstart_runs():
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 1
+    out = _run_python(["-c", blocks[0]])
+    assert out.returncode == 0, out.stderr
+
+
+def test_demos_are_found():
+    assert DEMOS   # an empty glob would only skip the parametrized test
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_exits_0(demo):
+    out = _run_python([str(demo)])
+    assert out.returncode == 0, out.stderr

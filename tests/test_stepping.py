@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
+import fracfront.stepping
 from fracfront import (
     BistableCubic,
     DivergedError,
@@ -12,6 +17,7 @@ from fracfront import (
     StepLimitError,
     StepperConfig,
     assemble_operator_matrix,
+    chen_ramp,
     integrate,
     make_schedule,
     step_explicit_rk,
@@ -230,3 +236,74 @@ class TestIntegrate:
         assert res.stats["rejected_steps"] == 0
         assert res.stats["wall_time_s"] > 0
         assert "u_min" in res.stats and "u_max" in res.stats
+
+
+def _run_recording_steps(t_final, snapshots, dt, n=21, operator=None,
+                         advance=True):
+    """Integrate a ramp and return ``(result, step sizes in call order)``.
+
+    With ``advance=False`` the steps only record their size and keep the
+    state, which is all a test of the step plan needs.
+    """
+    g = Grid1D(15.0, n)
+    sizes = []
+    step = fracfront.stepping.step_semi_implicit
+
+    def record(u, dt, A, nl):
+        sizes.append(dt)
+        return step(u, dt, A, nl) if advance else u
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fracfront.stepping, "step_semi_implicit", record)
+        res = integrate(chen_ramp(g.x), make_schedule(t_final, snapshots),
+                        StepperConfig(method="semi-implicit", dt=dt), g,
+                        FractionalParams(1.7, 0.2), BistableCubic(0.5),
+                        operator=operator)
+    return res, sizes
+
+
+class TestStepPlan:
+    def test_one_inverse_when_intervals_are_not_multiples_of_dt(self,
+                                                                monkeypatch):
+        # 20 / 6 is not a whole multiple of 0.02: each interval takes 167
+        # equal steps, all of one size
+        g = Grid1D(15.0, 61)
+        A = assemble_operator_matrix(g, FractionalParams(1.7, 0.2))
+        calls = []
+        inv = np.linalg.inv
+
+        def counting_inv(M):
+            calls.append(M.shape)
+            return inv(M)
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        res, sizes = _run_recording_steps(20.0, 7, 0.02, n=61, operator=A)
+        assert calls == [(g.n, g.n)]
+        held = [v for x in vars(A).values()
+                for v in (x.values() if isinstance(x, dict) else [x])]
+        assert len([v for v in held if np.shape(v) == (g.n, g.n)]) == 1
+        assert res.stats["steps"] == len(sizes) == 6 * 167
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    # subnormal horizons are left out: their linspace intervals differ by
+    # more than 1e-12 relative, so they may take two step sizes
+    @given(t_final=st.floats(0.0, 50.0, exclude_min=True,
+                             allow_subnormal=False),
+           snapshots=st.integers(2, 60), dt=st.floats(1e-3, 1.0))
+    def test_fewest_equal_steps_of_one_size(self, t_final, snapshots, dt):
+        schedule = make_schedule(t_final, snapshots)
+        assume(np.all(np.diff(schedule) > 0))
+        res, sizes = _run_recording_steps(t_final, snapshots, dt,
+                                          advance=False)
+        counts = [math.ceil(span / dt * (1 - 1e-12))
+                  for span in np.diff(schedule)]
+        assert res.stats["steps"] == len(sizes) == sum(counts)
+        assert all(s <= dt * (1 + 1e-12) for s in sizes)
+        assert len(set(sizes)) == 1
+        for span, count in zip(np.diff(schedule), counts):
+            assert sizes[0] * count == pytest.approx(span, rel=1e-12)
+
+    def test_whole_multiples_step_by_exactly_dt(self):
+        res, sizes = _run_recording_steps(20.0, 21, 0.02)
+        assert len(sizes) == res.stats["steps"] == 1000
+        assert all(s == 0.02 for s in sizes)
