@@ -25,6 +25,7 @@ from .errors import FracfrontError, OutOfRangeError
 from .grids import FractionalParams
 from .operators import apply_riesz_feller, assemble_operator_matrix
 from .runio import (
+    CONFIG_TYPES,
     RunConfig,
     read_config_file,
     result_from_csv,
@@ -34,36 +35,24 @@ from .runio import (
     write_snapshot_csv,
 )
 from .selftest import run_selftest
-from .stepping import METHODS
 
 # sweep takes lists of these three instead (--alphas, --thetas, --a-list)
-_POINT_FLAGS = (
-    ("--alpha", float, "diffusion order, in (1, 2]"),
-    ("--theta", float, "skewness, |theta| <= min(alpha, 2 - alpha)"),
-    ("--a", float, "unstable threshold of the cubic reaction, in (0, 1)"),
-)
 _SWEEP_LISTS = {"alpha": "alphas", "theta": "thetas", "a": "a_list"}
-_RUN_FLAGS = (
-    ("--b", float, "domain half-width"),
-    ("--n", int, "node count (odd, >= 3)"),
-    ("--t-final", float, "end time"),
-    ("--step-lo", float, "step initial condition: value for x <= 0"),
-    ("--step-hi", float, "step initial condition: value for x > 0"),
-    ("--dt", float, "fixed step size (semi-implicit)"),
-    ("--abs-tol", float, "absolute tolerance (rk-adaptive)"),
-    ("--rel-tol", float, "relative tolerance (rk-adaptive)"),
-    ("--snapshots", int, "number of saved snapshots (including t = 0)"),
-    ("--seed", int, "seed recorded in the manifest"),
-)
 
 
-def _add_run_arguments(sub: argparse.ArgumentParser, flags):
-    for flag, typ, help_text in flags:
-        sub.add_argument(flag, type=typ, help=help_text)
-    sub.add_argument("--ic", help="initial condition: chen or step")
-    sub.add_argument("--stepper", help=f"time stepper: {' or '.join(METHODS)}")
-    sub.add_argument("--tail-correction", action=argparse.BooleanOptionalAction,
-                     help="add the closed-form far-field tail of the operator")
+def _add_run_arguments(sub: argparse.ArgumentParser, sweep: bool = False):
+    """A flag per RunConfig field but ``out``; ``sweep`` takes lists instead."""
+    for field in dataclasses.fields(RunConfig):
+        flag, help_text = f"--{field.name.replace('_', '-')}", field.metadata["help"]
+        if sweep and field.name in _SWEEP_LISTS:
+            sub.add_argument(f"--{_SWEEP_LISTS[field.name].replace('_', '-')}",
+                             type=float_list, required=True,
+                             help=f"comma list; {help_text}")
+        elif CONFIG_TYPES[field.name] is bool:
+            sub.add_argument(flag, action=argparse.BooleanOptionalAction,
+                             help=help_text)
+        elif field.name != "out":
+            sub.add_argument(flag, type=CONFIG_TYPES[field.name], help=help_text)
     sub.add_argument("--config", help="key = value file; explicit flags override")
 
 
@@ -186,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # each subcommand carries its own parser, so its errors print its usage
     p_sim = subs.add_parser("simulate", help="run one configuration")
-    _add_run_arguments(p_sim, _POINT_FLAGS + _RUN_FLAGS)
+    _add_run_arguments(p_sim)
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.set_defaults(func=_cmd_simulate, parser=p_sim)
 
@@ -221,10 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     # no prefix matching: --alpha or --theta would be read as the list flag
     p_sweep = subs.add_parser("sweep", help="cartesian sweep over alpha/theta/a",
                               allow_abbrev=False)
-    _add_run_arguments(p_sweep, _RUN_FLAGS)
-    for flag in ("--alphas", "--thetas", "--a-list"):
-        p_sweep.add_argument(flag, type=float_list, required=True,
-                             help="comma list")
+    _add_run_arguments(p_sweep, sweep=True)
     p_sweep.add_argument("--out", required=True, help="parent output directory")
     p_sweep.set_defaults(func=_cmd_sweep, parser=p_sweep)
 

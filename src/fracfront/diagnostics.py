@@ -26,6 +26,7 @@ from .reaction import BistableCubic
 from .stepping import SimulationResult, StepperConfig, integrate
 
 BOUNDARY_DENSITY_LIMIT = 1e-6   # kernel guard: boundary value vs peak
+STEP_LO, STEP_HI = 0.49, 1.51   # default step IC: above the stable band on the right
 
 
 # ---------------------------------------------------------------------------
@@ -38,14 +39,14 @@ def chen_ramp(x: np.ndarray) -> np.ndarray:
     return np.where(x < -2.0, 0.0, np.where(x > 2.0, 1.0, x / 4.0 + 0.5))
 
 
-def step_profile(x: np.ndarray, lo: float = 0.49, hi: float = 1.51) -> np.ndarray:
+def step_profile(x: np.ndarray, lo: float = STEP_LO, hi: float = STEP_HI) -> np.ndarray:
     """lo for x <= 0, hi for x > 0 (left-closed at the jump)."""
     x = np.asarray(x, dtype=float)
     return np.where(x <= 0.0, lo, hi)
 
 
-def make_ic(variant, grid: Grid1D, step_lo: float = 0.49,
-            step_hi: float = 1.51) -> np.ndarray:
+def make_ic(variant, grid: Grid1D, step_lo: float = STEP_LO,
+            step_hi: float = STEP_HI) -> np.ndarray:
     """Sample an initial profile at the grid nodes.
 
     ``variant`` is "chen", "step" (levels ``step_lo``, ``step_hi``), or a
@@ -289,8 +290,8 @@ def smoothstep(y: np.ndarray) -> np.ndarray:
     return y * y * (3.0 - 2.0 * y)
 
 
-def make_ordered_ic_pair(grid: Grid1D, rng: np.random.Generator,
-                         n_bumps_max: int = 3) -> tuple[np.ndarray, np.ndarray]:
+def make_ordered_ic_pair(grid: Grid1D,
+                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Random ordered pair: a smoothstep ramp and the ramp plus bumps.
 
     The high member adds 1-3 nonnegative Gaussian bumps and is clipped to 1
@@ -301,7 +302,7 @@ def make_ordered_ic_pair(grid: Grid1D, rng: np.random.Generator,
     width = rng.uniform(2.0, grid.b / 3)
     low = smoothstep((x - center) / width + 0.5)
     bump = np.zeros_like(x)
-    for _ in range(int(rng.integers(1, n_bumps_max + 1))):
+    for _ in range(int(rng.integers(1, 4))):   # 1-3 bumps
         amp = rng.uniform(0.01, 0.2)
         ctr = rng.uniform(-2 * grid.b / 3, 2 * grid.b / 3)
         wid = rng.uniform(0.5, grid.b / 6)

@@ -301,15 +301,15 @@ def free_space_reference(
     func: Callable[[np.ndarray], np.ndarray],
     grid: Grid1D,
     params: FractionalParams,
-    pad: int = 4,
 ) -> np.ndarray:
     """Oracle: spectral application on a wide periodic extension of ``func``.
 
-    Samples ``func`` at the grid spacing on ``[-pad*b, pad*b)`` and returns
-    the multiplier result restricted to the grid nodes.  Valid when the
-    profile is effectively compactly supported well inside the extension
-    (wraparound from heavy tails decays like ``((pad-1)*b)^(-1-alpha)``).
+    Samples ``func`` at the grid spacing on ``[-4b, 4b)`` and returns the
+    multiplier result restricted to the grid nodes.  Valid when the profile
+    is effectively compactly supported well inside the extension
+    (wraparound from heavy tails decays like ``(3b)^(-1-alpha)``).
     """
+    pad = 4
     k = pad * (grid.n - 1)
     xe = -pad * grid.b + grid.h * np.arange(k)
     ve = spectral_apply(np.asarray(func(xe), dtype=float), 2 * pad * grid.b, params)

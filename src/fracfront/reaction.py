@@ -1,7 +1,7 @@
 """Bistable reaction terms.
 
-Any object with ``f(u)``, ``f_prime(u)`` and an unstable threshold ``a`` can
-drive the steppers; the built-in cubic covers every experiment shipped here.
+The steppers call only ``f(u)``, front tracking reads the threshold ``a`` and
+the manifest ``potential_gap()``; the built-in cubic covers every experiment.
 """
 
 from __future__ import annotations

@@ -23,35 +23,40 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .diagnostics import estimate_decay_rate, estimate_speed, make_ic
+from .diagnostics import STEP_HI, STEP_LO, estimate_decay_rate, estimate_speed, make_ic
 from .errors import FracfrontError, OutOfRangeError
 from .grids import FractionalParams, Grid1D, quadrature_nodes_weights
 from .operators import OperatorMatrix, quadrature_coefficients
 from .reaction import BistableCubic
-from .stepping import SimulationResult, StepperConfig, integrate, make_schedule
+from .stepping import METHODS, SimulationResult, StepperConfig, integrate, make_schedule
+
+
+def _param(help_text: str, default=dataclasses.MISSING):
+    """A RunConfig field; its help text is the help of its CLI flag."""
+    return dataclasses.field(default=default, metadata={"help": help_text})
 
 
 @dataclass
 class RunConfig:
-    """Complete description of one simulation run."""
+    """One simulation run; each field is a CLI flag and a config-file key."""
 
-    alpha: float
-    theta: float
-    a: float = 0.5
-    b: float = 30.0
-    n: int = 181
-    t_final: float = 20.0
-    ic: str = "chen"
-    step_lo: float = 0.49
-    step_hi: float = 1.51
-    stepper: str = "semi-implicit"
-    dt: float = 0.02
-    abs_tol: float = 1e-6
-    rel_tol: float = 1e-6
-    snapshots: int = 21
-    tail_correction: bool = False
-    seed: int = 0
-    out: Optional[str] = None
+    alpha: float = _param("diffusion order, in (1, 2]")
+    theta: float = _param("skewness, |theta| <= min(alpha, 2 - alpha)")
+    a: float = _param("unstable threshold of the cubic reaction, in (0, 1)", 0.5)
+    b: float = _param("domain half-width", 30.0)
+    n: int = _param("node count (odd, >= 3)", 181)
+    t_final: float = _param("end time", 20.0)
+    ic: str = _param("initial condition: chen or step", "chen")
+    step_lo: float = _param("step initial condition: value for x <= 0", STEP_LO)
+    step_hi: float = _param("step initial condition: value for x > 0", STEP_HI)
+    stepper: str = _param(f"time stepper: {' or '.join(METHODS)}", "semi-implicit")
+    dt: float = _param("fixed step size (semi-implicit)", 0.02)
+    abs_tol: float = _param("absolute tolerance (rk-adaptive)", 1e-6)
+    rel_tol: float = _param("relative tolerance (rk-adaptive)", 1e-6)
+    snapshots: int = _param("number of saved snapshots (including t = 0)", 21)
+    tail_correction: bool = _param("add the operator's far-field tail", False)
+    seed: int = _param("seed recorded in the manifest", 0)
+    out: Optional[str] = _param("output directory", None)
 
     def validated(self):
         """Build the validated domain objects (``make_ic`` checks ic, step levels)."""
@@ -166,8 +171,7 @@ def result_from_csv(path, a: Optional[float] = None) -> SimulationResult:
             f"{path}: x column is not the uniform grid on [{x[0]!r}, {-x[0]!r}] "
             f"with {len(x)} nodes")
     return SimulationResult(times=times, states=states, grid=grid,
-                            params=None, nl=nl,
-                            stepper=StepperConfig(), stats={})
+                            params=None, nl=nl)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +219,9 @@ def write_manifest(result: SimulationResult, diagnostics: dict,
 # key = value configuration files
 # ---------------------------------------------------------------------------
 
-_CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+# field name -> Python type of its value (annotations are strings here)
+CONFIG_TYPES = {f.name: {"int": int, "float": float, "bool": bool}.get(f.type, str)
+                for f in dataclasses.fields(RunConfig)}
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
@@ -234,7 +240,7 @@ def read_config_file(path) -> dict:
         if "=" not in line:
             raise OutOfRangeError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_TYPES:
+        if key not in CONFIG_TYPES:
             raise OutOfRangeError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             out[key] = _parse_value(key, value)
@@ -244,9 +250,9 @@ def read_config_file(path) -> dict:
 
 
 def _parse_value(key: str, value: str):
-    kind = _CONFIG_TYPES[key]   # the annotation, a string under postponed evaluation
-    if kind == "bool":
+    kind = CONFIG_TYPES[key]
+    if kind is bool:
         if value.lower() not in _BOOL_TRUE | _BOOL_FALSE:
             raise ValueError(f"expected a boolean, got {value!r}")
         return value.lower() in _BOOL_TRUE
-    return {"int": int, "float": float}.get(kind, str)(value)
+    return kind(value)

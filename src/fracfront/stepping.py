@@ -29,6 +29,7 @@ from .operators import OperatorMatrix, assemble_operator_matrix
 from .reaction import BistableCubic
 
 DIVERGENCE_THRESHOLD = 1e6  # far above the [0, ~1.5] range of all experiments
+DT_INITIAL = 1e-3           # first trial step of rk-adaptive
 
 METHODS = ("semi-implicit", "rk-adaptive")
 
@@ -39,14 +40,13 @@ class StepperConfig:
     dt: float = 0.02                 # semi-implicit
     abs_tol: float = 1e-6            # rk-adaptive
     rel_tol: float = 1e-6
-    dt_initial: float = 1e-3
     max_steps: int = 10_000_000
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise OutOfRangeError(
                 f"stepper must be one of {METHODS}, got {self.method!r}", "stepper")
-        for name in ("dt", "abs_tol", "rel_tol", "dt_initial", "max_steps"):
+        for name in ("dt", "abs_tol", "rel_tol", "max_steps"):
             value = getattr(self, name)
             if not 0 < value < np.inf:
                 raise OutOfRangeError(
@@ -54,13 +54,17 @@ class StepperConfig:
 
 
 def make_schedule(t_final: float, snapshots: int) -> np.ndarray:
-    """Uniform snapshot times 0 .. t_final (``snapshots`` entries)."""
+    """Uniform snapshot times 0 .. t_final (``snapshots`` entries).
+
+    A positive ``t_final`` needs at least 2 snapshots, the first at t = 0.
+    """
     if not 0.0 <= t_final < np.inf:
         raise OutOfRangeError(
             f"t_final must be nonnegative and finite, got {t_final}", "t_final")
-    if snapshots < 1:
-        raise OutOfRangeError(f"snapshots must be >= 1, got {snapshots}",
-                              "snapshots")
+    least = 2 if t_final > 0 else 1
+    if snapshots < least:
+        raise OutOfRangeError(f"snapshots must be >= {least} when t_final = "
+                              f"{t_final}, got {snapshots}", "snapshots")
     if t_final == 0:
         return np.zeros(1)
     return np.linspace(0.0, t_final, snapshots)
@@ -77,14 +81,13 @@ def _check_schedule(schedule: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SimulationResult:
-    """Snapshot series plus the configuration that produced it."""
+    """Snapshot series plus the grid, operator parameters and reaction."""
 
     times: np.ndarray        # (k,)
     states: np.ndarray       # (k, n)
     grid: Grid1D
     params: FractionalParams
     nl: BistableCubic
-    stepper: StepperConfig
     stats: dict = field(default_factory=dict)
 
     @property
@@ -195,11 +198,11 @@ def integrate(
         stats["steps"] += 1
         if stats["steps"] > cfg.max_steps:
             raise StepLimitError(f"exceeded max_steps = {cfg.max_steps}")
-        m = float(np.max(np.abs(v)))
-        if not np.isfinite(m) or m > DIVERGENCE_THRESHOLD:
-            raise DivergedError(f"|u| reached {m:.3g}")
-        stats["u_min"] = min(stats["u_min"], float(v.min()))
-        stats["u_max"] = max(stats["u_max"], float(v.max()))
+        lo, hi = float(v.min()), float(v.max())   # NaN if any entry is NaN
+        if not -DIVERGENCE_THRESHOLD <= lo <= hi <= DIVERGENCE_THRESHOLD:
+            raise DivergedError(f"|u| reached {max(-lo, hi):.3g}")
+        stats["u_min"] = min(stats["u_min"], lo)
+        stats["u_max"] = max(stats["u_max"], hi)
 
     if cfg.method == "semi-implicit":
         step = cfg.dt
@@ -216,7 +219,7 @@ def integrate(
             Av = operator.matvec(v)
             return Av + nl.f(v) if nl is not None else Av
 
-        dt = cfg.dt_initial
+        dt = DT_INITIAL
         for k in range(1, len(schedule)):
             t, t_end = schedule[k - 1], schedule[k]
             while t < t_end:
@@ -241,5 +244,4 @@ def integrate(
 
     stats["wall_time_s"] = time.perf_counter() - wall0
     return SimulationResult(times=schedule.copy(), states=np.array(states),
-                            grid=grid, params=params, nl=nl, stepper=cfg,
-                            stats=stats)
+                            grid=grid, params=params, nl=nl, stats=stats)

@@ -35,8 +35,7 @@ from fracfront import (
 def _fake_result(grid, times, states, a=0.5):
     return SimulationResult(times=np.asarray(times, dtype=float),
                             states=np.asarray(states), grid=grid,
-                            params=None, nl=BistableCubic(a),
-                            stepper=StepperConfig(), stats={})
+                            params=None, nl=BistableCubic(a), stats={})
 
 
 class TestInitialConditions:

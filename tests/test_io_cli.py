@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -65,13 +66,12 @@ class TestSnapshotCSV:
         assert not lines[1].endswith(",")
 
     def test_three_node_two_snapshot_layout(self, tmp_path):
-        from fracfront import BistableCubic, Grid1D, SimulationResult, StepperConfig
+        from fracfront import BistableCubic, Grid1D, SimulationResult
         grid = Grid1D(1.0, 3)
         result = SimulationResult(
             times=np.array([0.0, 1.0]),
             states=np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]),
-            grid=grid, params=None, nl=BistableCubic(0.5),
-            stepper=StepperConfig(), stats={})
+            grid=grid, params=None, nl=BistableCubic(0.5), stats={})
         path = tmp_path / "tiny.csv"
         write_snapshot_csv(result, path)
         lines = path.read_text().splitlines()
@@ -528,6 +528,68 @@ class TestExitCodes:
         err = self._exits_2(["speed", "--run", str(tmp_path / "ok"),
                              "--level", "nan"], capsys)
         assert err.startswith("usage: fracfront speed")
+
+
+# one admissible non-default value per RunConfig field but ``out``
+_FIELD_VALUES = {
+    "alpha": "1.6", "theta": "0.1", "a": "0.4", "b": "6.0", "n": "23",
+    "t_final": "0.2", "ic": "step", "step_lo": "0.3", "step_hi": "1.2",
+    "stepper": "rk-adaptive", "dt": "0.025", "abs_tol": "1e-05",
+    "rel_tol": "1e-05", "snapshots": "3", "tail_correction": "true",
+    "seed": "7",
+}
+_BASE_VALUES = {"alpha": "1.5", "theta": "0", "n": "21", "b": "5",
+                "t_final": "0.1", "dt": "0.05", "snapshots": "2"}
+
+
+class TestRunConfigFlags:
+    """Every RunConfig field is a flag and a config key with one meaning."""
+
+    def test_fields_have_values(self):
+        names = {f.name for f in dataclasses.fields(RunConfig)} - {"out"}
+        assert names == set(_FIELD_VALUES)
+
+    @pytest.mark.parametrize("name", sorted(_FIELD_VALUES))
+    def test_flag_and_config_key_agree(self, tmp_path, capsys, name):
+        value = _FIELD_VALUES[name]
+
+        def manifest_config(tag, lines, flags):
+            cfg = tmp_path / f"{tag}.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+            out = tmp_path / tag
+            assert main(["simulate", "--config", str(cfg), *flags,
+                         "--out", str(out)]) == 0
+            config = json.loads((out / "manifest.json").read_text())["config"]
+            assert config.pop("out") == str(out)
+            return config
+
+        base = {k: v for k, v in _BASE_VALUES.items() if k != name}
+        flag = f"--{name.replace('_', '-')}"
+        by_flag = manifest_config(
+            "flag", base, [flag] if value == "true" else [f"{flag}={value}"])
+        by_file = manifest_config("file", {**base, name: value}, [])
+        assert by_flag == by_file
+        assert str(by_flag[name]).lower() == value
+
+    def test_every_field_is_in_help(self, capsys):
+        for command, skipped in (("simulate", {"out"}),
+                                 ("sweep", {"out", "alpha", "theta", "a"})):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0
+            text = capsys.readouterr().out
+            for f in dataclasses.fields(RunConfig):
+                if f.name not in skipped:
+                    assert f"--{f.name.replace('_', '-')} " in text, (command, f.name)
+
+    def test_one_snapshot_with_positive_t_final_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--alpha", "1.5", "--theta", "0", "--n", "21",
+                  "--b", "5", "--t-final", "0.1", "--snapshots", "1",
+                  "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        assert "--snapshots:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 def test_import_loads_no_scipy():

@@ -40,8 +40,7 @@ class TestConfig:
             StepperConfig(method="rk-adaptive", abs_tol=0.0)
 
     @pytest.mark.parametrize("method", ["semi-implicit", "rk-adaptive"])
-    @pytest.mark.parametrize("name", ["dt", "abs_tol", "rel_tol", "dt_initial",
-                                      "max_steps"])
+    @pytest.mark.parametrize("name", ["dt", "abs_tol", "rel_tol", "max_steps"])
     def test_every_field_checked_for_every_method(self, method, name):
         for bad in (0, -1.0, float("nan"), float("inf")):
             with pytest.raises(OutOfRangeError) as exc:
@@ -51,6 +50,7 @@ class TestConfig:
     @pytest.mark.parametrize("t_final,snapshots,name", [
         (-1.0, 3, "t_final"), (float("nan"), 3, "t_final"),
         (float("inf"), 3, "t_final"), (1.0, 0, "snapshots"),
+        (1.0, 1, "snapshots"),
     ])
     def test_bad_schedule(self, t_final, snapshots, name):
         with pytest.raises(OutOfRangeError) as exc:
@@ -217,6 +217,19 @@ class TestIntegrate:
         with pytest.raises(DivergedError):
             integrate(np.full(g.n, 2000.0), make_schedule(10.0, 3), cfg,
                       g, p, BistableCubic(0.5))
+
+    def test_nan_reaction_diverges(self):
+        class NaNAbove:   # a reaction whose value is NaN above u = 0.5
+            a = 0.5
+
+            def f(self, u):
+                return np.where(u > 0.5, np.nan, 0.0)
+
+        g = Grid1D(10.0, 41)
+        cfg = StepperConfig(method="semi-implicit", dt=0.1)
+        with pytest.raises(DivergedError, match="nan"):
+            integrate(chen_ramp(g.x), make_schedule(1.0, 3), cfg, g,
+                      FractionalParams(1.5, 0.0), NaNAbove())
 
     def test_step_budget(self):
         g = Grid1D(10.0, 41)
