@@ -144,11 +144,11 @@ def _cmd_sweep(parser, args) -> int:
             exc.param = _SWEEP_LISTS.get(exc.param, exc.param)
             raise
     # the loops run a innermost, so configurations sharing (alpha, theta)
-    # are consecutive and share one operator and its cached inverse
+    # are consecutive and share one operator and its cached solver
     operator, key = None, None
     for config in configs:
         if (config.alpha, config.theta) != key:
-            operator = None   # release the old inverse before the next is built
+            operator = None   # release the old solver before the next is built
             params, grid, *_ = config.validated()
             operator = assemble_operator_matrix(grid, params,
                                                 config.tail_correction)

@@ -15,9 +15,11 @@ where ``I[phi] = int_0^inf phi(xi) xi^(-1-alpha) dxi`` and
 Each grid backend is one Toeplitz stencil, an ``OperatorMatrix``: weights
 ``K[d]`` for the offsets ``|d| <= M`` plus the weight landing beyond the M
 ghost values, which folds onto the boundary nodes.  Its apply is one FFT
-correlation of the ghost-extended state, O(n log n); its dense matrix is
-built only for the implicit stepper's inverse, so the adaptive stepper is
-matrix-free.  The stencils:
+correlation of the ghost-extended state, O(n log n).  The implicit step
+solves with ``I - dt*A``: by a dense inverse at ``n <= DENSE_INVERSE_MAX_N``,
+the only place the dense matrix is built, and above it by a
+``ToeplitzSolver`` in O(n log n) per step with no n x n array.  The adaptive
+stepper is matrix-free.  The stencils:
 
 * ``assemble_operator_matrix``: the primary scheme, and the one place that
   dispatches on the order: at alpha = 2, where the integral coefficients
@@ -60,6 +62,10 @@ from .grids import FractionalParams, Grid1D, quadrature_nodes_weights, validate_
 # Ghost policy: "projection" clamps off-domain reads to the boundary values;
 # a callable is evaluated at the off-grid coordinates (testing / free space).
 GhostPolicy = Union[str, Callable[[np.ndarray], np.ndarray]]
+
+# Largest n whose implicit solver is the dense inverse; above it the O(n log n)
+# Toeplitz solve is faster than the dense mat-vec (measured crossover)
+DENSE_INVERSE_MAX_N = 1000
 
 
 def riesz_feller_symbol(params: FractionalParams, xi) -> np.ndarray:
@@ -111,8 +117,10 @@ class OperatorMatrix:
     annihilated.  ``matvec`` applies the operator by FFT in O(n log n);
     ``entries`` is the dense matrix under projection ghosts, built afresh
     on each access, and ``entries @ u`` equals ``matvec(u)`` to roundoff.
-    The inverse of ``I - dt*entries`` is cached for the latest dt only, for
-    implicit stepping; it is the only n x n array the operator keeps.
+    The solver of ``I - dt*entries`` is cached for the latest dt only, for
+    implicit stepping.  At ``n <= DENSE_INVERSE_MAX_N`` it is the dense
+    inverse, the only n x n array the operator keeps; above it, a
+    ``ToeplitzSolver`` of O(n) arrays.
     """
 
     grid: Grid1D
@@ -159,18 +167,137 @@ class OperatorMatrix:
         A[np.diag_indices(n)] -= self.row_sum
         return A
 
-    def factorization(self, dt: float) -> np.ndarray:
-        """Inverse of ``I - dt * entries``, cached for the latest dt only."""
+    @property
+    def solver(self) -> str:
+        """What ``factorization`` builds: "dense-inverse" or "toeplitz"."""
+        return "toeplitz" if self.grid.n > DENSE_INVERSE_MAX_N else "dense-inverse"
+
+    def factorized(self, dt: float) -> bool:
+        """Whether ``factorization(dt)`` is cached."""
+        return dt in self._inverse_cache
+
+    def factorization(self, dt: float):
+        """Solver of ``I - dt * entries``, cached for the latest dt only.
+
+        ``factorization(dt) @ r`` solves ``(I - dt * entries) x = r``.  At
+        ``n <= DENSE_INVERSE_MAX_N`` the solver is the dense inverse; above
+        it, a ``ToeplitzSolver`` holding O(n) arrays.
+        """
         if dt not in self._inverse_cache:
-            self._inverse_cache.clear()  # never two n x n arrays held
-            M = self.entries
-            M *= -dt
-            M[np.diag_indices(self.grid.n)] += 1.0
-            try:
-                self._inverse_cache[dt] = np.linalg.inv(M)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover
-                raise SingularSystemError(str(exc)) from exc
+            self._inverse_cache.clear()  # never two solvers held
+            self._inverse_cache[dt] = (ToeplitzSolver(self, dt)
+                                       if self.solver == "toeplitz"
+                                       else self._dense_inverse(dt))
         return self._inverse_cache[dt]
+
+    def _dense_inverse(self, dt: float) -> np.ndarray:
+        M = self.entries
+        M *= -dt
+        M[np.diag_indices(self.grid.n)] += 1.0
+        try:
+            return np.linalg.inv(M)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise SingularSystemError(str(exc)) from exc
+
+
+class ToeplitzSolver:
+    """Solves ``(I - dt*A) x = r`` for an ``OperatorMatrix`` A in O(n log n).
+
+    ``I - dt*A`` is a Toeplitz matrix T plus the two boundary-fold columns.
+    Setup runs the nonsymmetric Levinson recursion, O(n^2), for the first
+    and last columns f and g of T^-1, then refines them once against
+    residuals summed directly, also O(n^2).  The Gohberg-Semencul formula
+
+        f[0] T^-1 = L(f) U(rev g) - L(S g) U(S rev f)
+
+    (L, U: lower/upper triangular Toeplitz with the given first column/row;
+    S: the down shift) then applies T^-1 with four FFT triangular products,
+    and a 2-column Woodbury correction adds the folds.  Only O(n) arrays
+    are held.  Raises ``SingularSystemError`` when the recursion breaks down
+    (a leading minor of T is singular) instead of returning NaN.
+    """
+
+    def __init__(self, op: OperatorMatrix, dt: float):
+        n, m = op.grid.n, len(op.weights) // 2
+        # k[n - 1 + d] is the stencil weight at offset d, |d| <= n - 1
+        k = np.pad(op.weights, n - 1 - m)
+        col = -dt * k[n - 1::-1]   # T[i, 0], i = 0..n-1
+        row = -dt * k[n - 1:]      # T[0, j], j = 0..n-1
+        col[0] = row[0] = 1.0 + dt * op.row_sum
+        self._n, self._size = n, 1 << (2 * n - 2).bit_length()
+        f, g = self._levinson(col, row)
+        self._set_generators(f, g)
+        # one step of iterative refinement: Levinson leaves errors of about
+        # cond(T) * eps in f and g, which residuals by direct sums remove
+        res = -self._toeplitz_times(col, row, np.stack([f, g], axis=1))
+        res[0, 0] += 1.0
+        res[-1, 1] += 1.0
+        self._set_generators(f + self._apply_t(res[:, 0]),
+                             g + self._apply_t(res[:, 1]))
+        # the folds: weight beyond the edge, (far plus kernel cumsums) x -dt
+        fold0 = op.far[0] + np.concatenate([np.cumsum(k)[n - 2::-1], [0.0]])
+        fold1 = op.far[1] + np.concatenate([[0.0], np.cumsum(k[::-1])[:n - 1]])
+        z = np.stack([self._apply_t(-dt * fold0), self._apply_t(-dt * fold1)],
+                     axis=1)
+        cap = np.eye(2) + z[[0, -1]]   # I + V^T T^-1 U, V = [e_0, e_(n-1)]
+        det = cap[0, 0] * cap[1, 1] - cap[0, 1] * cap[1, 0]
+        if det == 0.0 or not np.isfinite(det):
+            raise SingularSystemError(
+                f"boundary-fold correction is singular (det = {det})")
+        self._fold = z @ np.linalg.inv(cap)   # n x 2
+
+    def _set_generators(self, f: np.ndarray, g: np.ndarray):
+        """Spectra of the Gohberg-Semencul factors of f and g."""
+        spec = lambda v: np.fft.rfft(v, self._size)
+        # U(rev g) and U(S rev f) act as correlations, hence the conjugates
+        self._upper = (np.conj(spec(g[::-1])),
+                       np.conj(spec(np.concatenate([[0.0], f[:0:-1]]))))
+        self._lower = (spec(f / f[0]), spec(np.concatenate([[0.0], g[:-1]]) / f[0]))
+
+    @staticmethod
+    def _toeplitz_times(col: np.ndarray, row: np.ndarray, v: np.ndarray):
+        """T @ v by direct sums over blocks of rows of at most 1 MiB."""
+        n = len(col)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([row[:0:-1], col]), n)   # windows[i] = T[i, ::-1]
+        block = max(1, (1 << 17) // n)
+        return np.concatenate([windows[i:i + block] @ v[::-1]
+                               for i in range(0, n, block)])
+
+    @staticmethod
+    def _levinson(col: np.ndarray, row: np.ndarray):
+        """First and last columns of T^-1, T[i, j] = col[i - j] or row[j - i]."""
+        if col[0] == 0.0 or not np.isfinite(col[0]):
+            raise SingularSystemError(f"Toeplitz diagonal is {col[0]}")
+        f = g = np.array([1.0 / col[0]])
+        for m in range(1, len(col)):
+            # errors of the padded vectors [f, 0] and [0, g] in the new row
+            ef = col[m:0:-1] @ f
+            eg = row[1:m + 1] @ g
+            pivot = 1.0 - ef * eg
+            if pivot == 0.0 or not np.isfinite(pivot):
+                raise SingularSystemError(
+                    f"Levinson recursion broke down at order {m + 1}: "
+                    f"pivot {pivot}")
+            f0, g0 = np.append(f, 0.0), np.concatenate([[0.0], g])
+            f, g = (f0 - ef * g0) / pivot, (g0 - eg * f0) / pivot
+        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
+            raise SingularSystemError("Levinson recursion overflowed")
+        return f, g
+
+    def _apply_t(self, r: np.ndarray) -> np.ndarray:
+        """T^-1 r by the Gohberg-Semencul formula."""
+        n, size = self._n, self._size
+        spectrum = np.fft.rfft(r, size)
+        inner = [np.fft.rfft(np.fft.irfft(spectrum * u, size)[:n], size)
+                 for u in self._upper]
+        return np.fft.irfft(self._lower[0] * inner[0] - self._lower[1] * inner[1],
+                            size)[:n]
+
+    def __matmul__(self, rhs: np.ndarray) -> np.ndarray:
+        """The solution x of ``(I - dt*A) x = rhs``."""
+        y = self._apply_t(rhs)
+        return y - self._fold @ y[[0, -1]]
 
 
 def _quadrature_stencil(grid: Grid1D, params: FractionalParams,

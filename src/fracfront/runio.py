@@ -77,7 +77,7 @@ def run_simulation(config: RunConfig,
     """Run one configuration and measure the standard diagnostics.
 
     ``operator``, when given, is the configuration's assembled operator (it
-    keeps its cached inverse); by default one is built for this run.  The
+    keeps its cached solver); by default one is built for this run.  The
     returned dict holds the front speed and decay-rate fit when they are
     measurable for the run (None entries otherwise).
     """
@@ -229,7 +229,8 @@ _BOOL_FALSE = {"0", "false", "no", "off"}
 def read_config_file(path) -> dict:
     """Parse a ``key = value`` file into RunConfig keyword arguments.
 
-    Unknown keys are errors (fail loud); '#' starts a comment.
+    Unknown keys are errors (fail loud), and so is ``out``: the output
+    directory is always the ``--out`` flag.  '#' starts a comment.
     """
     path = Path(path)
     out = {}
@@ -242,6 +243,10 @@ def read_config_file(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_TYPES:
             raise OutOfRangeError(f"{path}:{lineno}: unknown key {key!r}")
+        if key == "out":
+            raise OutOfRangeError(
+                f"{path}:{lineno}: 'out' is not a config key; "
+                "give the output directory as --out", "out")
         try:
             out[key] = _parse_value(key, value)
         except ValueError as exc:

@@ -195,7 +195,8 @@ def check_manifest_schema() -> tuple[bool, str]:
     missing = [k for k in MANIFEST_REQUIRED_KEYS if k not in manifest]
     missing += [f"derived.{k}" for k in MANIFEST_DERIVED_KEYS
                 if k not in manifest.get("derived", {})]
-    for k in ("steps", "rejected_steps", "wall_time_s"):
+    for k in ("steps", "rejected_steps", "wall_time_s", "solver",
+              "solver_setup_s"):
         if k not in manifest.get("stats", {}):
             missing.append(f"stats.{k}")
     for k in ("speed", "decay_rate"):
@@ -203,7 +204,10 @@ def check_manifest_schema() -> tuple[bool, str]:
             missing.append(f"diagnostics.{k}")
     if missing:
         return False, "missing fields: " + ", ".join(missing)
-    return True, "all required manifest fields present"
+    solver = manifest["stats"]["solver"]
+    if solver != "dense-inverse":   # n = 61 is below DENSE_INVERSE_MAX_N
+        return False, f"stats.solver is {solver!r} at n = {config.n}"
+    return True, f"all required manifest fields present; solver {solver}"
 
 
 GROUPS = (

@@ -4,8 +4,13 @@ Two steppers, named in ``METHODS``:
 
 * ``semi-implicit``: backward Euler on the linear operator, explicit
   reaction.  Equal steps of at most ``dt`` per snapshot interval, so a
-  uniform schedule takes one step size and one cached dense inverse per
-  run; each step is one mat-vec.
+  uniform schedule takes one step size and one cached solver of
+  ``I - dt*A`` per run (``OperatorMatrix.factorization``).  Each step is
+  one dense mat-vec at ``n <= DENSE_INVERSE_MAX_N`` and an O(n log n)
+  Toeplitz solve above it; there the step keeps nonnegativity only to
+  roundoff (below 1e-16 absolute where the true inverse entries underflow,
+  as at alpha = 2 or theta at its edge).  The run's stats name the solver
+  and its setup time.
 * ``rk-adaptive``: explicit embedded Dormand-Prince 5(4) pair with the
   standard safety-factored step controller.  Matrix-free: its right-hand
   side applies the operator's stencil by FFT.
@@ -205,11 +210,16 @@ def integrate(
         stats["u_max"] = max(stats["u_max"], hi)
 
     if cfg.method == "semi-implicit":
+        stats.update(solver=operator.solver, solver_setup_s=0.0)
         step = cfg.dt
         for span in np.diff(schedule):
             count = math.ceil(span / cfg.dt * (1 - 1e-12))
             if abs(span / count - step) > 1e-12 * step:
                 step = span / count
+            if not operator.factorized(step):  # a shared operator may hold it
+                t0 = time.perf_counter()
+                operator.factorization(step)
+                stats["solver_setup_s"] += time.perf_counter() - t0
             for _ in range(count):
                 u = step_semi_implicit(u, step, operator, nl)
                 bookkeep(u)

@@ -135,6 +135,8 @@ class TestManifest:
         assert m["derived"]["c2"] == pytest.approx(0.24226912094291634, abs=1e-12)
         assert m["derived"]["potential_gap"] == 0.0
         assert m["stats"]["steps"] > 0
+        assert m["stats"]["solver"] == "dense-inverse"
+        assert m["stats"]["solver_setup_s"] > 0
         assert "speed" in m["diagnostics"] and "decay_rate" in m["diagnostics"]
 
     def test_classical_endpoint_has_null_coefficients(self, tmp_path):
@@ -168,6 +170,13 @@ class TestConfigFile:
         values = read_config_file(cfg)
         assert values == {"alpha": 1.5, "theta": -0.2, "n": 91,
                           "tail_correction": True, "ic": "chen"}
+
+    def test_out_key_is_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 1.5\nout = runs/a\n")
+        with pytest.raises(OutOfRangeError, match="--out") as exc:
+            read_config_file(cfg)
+        assert exc.value.param == "out"
 
     def test_unknown_key_fails_loud(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -423,6 +432,20 @@ class TestExitCodes:
                              "--out", str(tmp_path / "run")], capsys)
         assert f"{cfg}:3: n:" in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_config_file_out_key_exits_2(self, tmp_path, capsys, command):
+        # the output directory is the --out flag only; the key never applied
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"alpha = 1.5\ntheta = 0\nout = {tmp_path / 'elsewhere'}\n")
+        lists = ["--alphas", "1.5", "--thetas", "0", "--a-list", "0.5"]
+        err = self._exits_2([command, "--config", str(cfg),
+                             *(lists if command == "sweep" else []),
+                             *self.SMALL_RUN, "--out", str(tmp_path / "run")],
+                            capsys)
+        assert f"--out: {cfg}:3:" in err
+        assert not (tmp_path / "run").exists()
+        assert not (tmp_path / "elsewhere").exists()
 
     @pytest.mark.parametrize("flag,value", [
         ("--ic", "ramp"), ("--stepper", "bdf"), ("--stepper", "spectral-imex"),

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lu_factor, lu_solve
 
 from fracfront import (
     DegenerateCoefficientsError,
     FractionalParams,
     Grid1D,
+    OperatorMatrix,
+    SingularSystemError,
     UnsupportedError,
     apply_riesz_feller,
     assemble_operator_matrix,
@@ -19,6 +22,7 @@ from fracfront import (
     riesz_feller_symbol,
     spectral_apply,
 )
+from fracfront.operators import DENSE_INVERSE_MAX_N, ToeplitzSolver
 from fracfront.selftest import admissible_lattice
 
 GAUSS = lambda x: np.exp(-x ** 2)
@@ -306,6 +310,62 @@ class TestStencilProperties:
         A = assemble_operator_matrix(grid, p, tail_correction=tail)
         assert np.all(A.matvec(u) == 0.0)
         assert np.all(apply_riesz_feller(u, grid, p, tail_correction=tail) == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Toeplitz solver of the implicit step
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _implicit_systems(draw):
+    """A scheme from ``_schemes`` (one in five at alpha = 2) and a dt."""
+    grid, p, tail = draw(_schemes())
+    if draw(st.integers(0, 4)) == 0:
+        p = CLASSICAL
+    return grid, p, tail, draw(st.floats(1e-3, 1.0))
+
+
+class TestToeplitzSolver:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(_implicit_systems())
+    def test_matches_lu_solve(self, system):
+        grid, p, tail, dt = system
+        A = assemble_operator_matrix(grid, p, tail_correction=tail)
+        rhs = np.random.default_rng(grid.n).standard_normal(grid.n)
+        ref = lu_solve(lu_factor(np.eye(grid.n) - dt * A.entries), rhs)
+        out = ToeplitzSolver(A, dt) @ rhs
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("weights,far", [
+        # 1 + dt*row_sum = -1 and both neighbours 1: the leading 2 x 2 minor
+        # of I - dt*A and of its Toeplitz part is singular
+        ([-1.0, 0.0, -1.0], (0.5, -0.5)),
+        ([np.nan, 0.0, 1.0], (0.0, 0.0)),
+    ])
+    def test_breakdown_raises(self, weights, far):
+        A = OperatorMatrix(Grid1D(10.0, 21), np.array(weights), far)
+        if np.all(np.isfinite(weights)):
+            assert np.linalg.det((np.eye(21) - A.entries)[:2, :2]) == 0.0
+        with pytest.raises(SingularSystemError):
+            ToeplitzSolver(A, 1.0)
+
+    def test_routing_by_node_count(self):
+        small = Grid1D(30.0, (DENSE_INVERSE_MAX_N - 1) | 1)  # largest odd n at
+        large = Grid1D(30.0, (DENSE_INVERSE_MAX_N + 1) | 1)  # and above it
+        p = FractionalParams(1.7, 0.2)
+        assert assemble_operator_matrix(small, p).solver == "dense-inverse"
+        assert assemble_operator_matrix(large, p).solver == "toeplitz"
+
+    def test_holds_no_square_array_above_the_dense_limit(self):
+        n = (DENSE_INVERSE_MAX_N + 1) | 1
+        A = assemble_operator_matrix(Grid1D(30.0, n), FractionalParams(1.7, 0.2))
+        solver = A.factorization(0.02)
+        assert isinstance(solver, ToeplitzSolver)
+        assert A.factorization(0.02) is solver
+        held = [*vars(A).values(), *vars(solver).values()]
+        arrays = [v for x in held for v in (x if isinstance(x, tuple) else [x])
+                  if isinstance(v, np.ndarray)]
+        assert len(arrays) >= 5 and max(a.size for a in arrays) <= 4 * n
 
 
 # ---------------------------------------------------------------------------

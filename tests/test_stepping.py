@@ -23,6 +23,7 @@ from fracfront import (
     step_explicit_rk,
     step_semi_implicit,
 )
+from fracfront.operators import DENSE_INVERSE_MAX_N
 
 
 class TestConfig:
@@ -96,8 +97,10 @@ class TestSemiImplicit:
         ref = lu_solve(lu_factor(np.eye(n) - dt * A.entries), rhs)
         out = step_semi_implicit(u, dt, A, nl)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
-        # I - dt*A is an M-matrix, so its inverse is nonnegative
-        assert np.min(A.factorization(dt)) >= 0.0
+        # I - dt*A is an M-matrix, so its inverse is nonnegative; its
+        # columns come from the solver, a dense inverse or a Toeplitz solve
+        solve = A.factorization(dt)
+        assert min(np.min(solve @ e) for e in np.eye(n)) >= 0.0
 
     def test_operator_keeps_only_the_inverse(self):
         g = Grid1D(10.0, 41)
@@ -249,6 +252,30 @@ class TestIntegrate:
         assert res.stats["rejected_steps"] == 0
         assert res.stats["wall_time_s"] > 0
         assert "u_min" in res.stats and "u_max" in res.stats
+
+    def test_solver_stats(self):
+        g = Grid1D(10.0, 41)
+        p = FractionalParams(1.5, 0.1)
+        A = assemble_operator_matrix(g, p)
+        runs = [integrate(np.full(g.n, 0.3), make_schedule(1.0, 3),
+                          StepperConfig(method=method, dt=0.1), g, p,
+                          BistableCubic(0.5), operator=A)
+                for method in ("semi-implicit", "semi-implicit", "rk-adaptive")]
+        assert runs[0].stats["solver"] == "dense-inverse"
+        assert runs[0].stats["solver_setup_s"] > 0
+        # the second run reuses the operator's cached solver
+        assert runs[1].stats["solver_setup_s"] == 0.0
+        assert "solver" not in runs[2].stats
+        assert "solver_setup_s" not in runs[2].stats
+
+    def test_toeplitz_solver_above_the_dense_limit(self):
+        g = Grid1D(30.0, (DENSE_INVERSE_MAX_N + 1) | 1)  # smallest odd n above
+        res = integrate(chen_ramp(g.x), make_schedule(0.1, 2),
+                        StepperConfig(method="semi-implicit", dt=0.02), g,
+                        FractionalParams(1.7, 0.2), BistableCubic(0.5))
+        assert res.stats["solver"] == "toeplitz"
+        assert res.stats["solver_setup_s"] > 0
+        assert res.stats["steps"] == 5
 
 
 def _run_recording_steps(t_final, snapshots, dt, n=21, operator=None,
