@@ -20,13 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diagnostics import estimate_decay_rate, estimate_speed, green_function
+from .diagnostics import estimate_speed, green_function
 from .errors import FracfrontError, OutOfRangeError
 from .grids import FractionalParams
 from .operators import apply_riesz_feller, assemble_operator_matrix
 from .runio import (
     CONFIG_TYPES,
     RunConfig,
+    decay_diagnostics,
     read_config_file,
     result_from_csv,
     run_simulation,
@@ -40,9 +41,16 @@ from .selftest import run_selftest
 _SWEEP_LISTS = {"alpha": "alphas", "theta": "thetas", "a": "a_list"}
 
 
-def _add_run_arguments(sub: argparse.ArgumentParser, sweep: bool = False):
-    """A flag per RunConfig field but ``out``; ``sweep`` takes lists instead."""
+def _add_run_arguments(sub: argparse.ArgumentParser, names=None,
+                       sweep: bool = False):
+    """A flag per RunConfig field in ``names`` (default: all but ``out``).
+
+    Without ``names`` a ``--config`` file fills what the flags leave out and
+    ``sweep`` takes lists; with them the fields without a default are required.
+    """
     for field in dataclasses.fields(RunConfig):
+        if field.name == "out" or (names is not None and field.name not in names):
+            continue
         flag, help_text = f"--{field.name.replace('_', '-')}", field.metadata["help"]
         if sweep and field.name in _SWEEP_LISTS:
             sub.add_argument(f"--{_SWEEP_LISTS[field.name].replace('_', '-')}",
@@ -51,14 +59,17 @@ def _add_run_arguments(sub: argparse.ArgumentParser, sweep: bool = False):
         elif CONFIG_TYPES[field.name] is bool:
             sub.add_argument(flag, action=argparse.BooleanOptionalAction,
                              help=help_text)
-        elif field.name != "out":
-            sub.add_argument(flag, type=CONFIG_TYPES[field.name], help=help_text)
-    sub.add_argument("--config", help="key = value file; explicit flags override")
+        else:
+            sub.add_argument(flag, type=CONFIG_TYPES[field.name], help=help_text,
+                             required=(names is not None and
+                                       field.default is dataclasses.MISSING))
+    if names is None:
+        sub.add_argument("--config", help="key = value file; explicit flags override")
 
 
 def _run_values(args: argparse.Namespace) -> dict:
     """RunConfig keywords: the config file's values, overridden by flags."""
-    values = read_config_file(args.config) if args.config else {}
+    values = read_config_file(args.config) if getattr(args, "config", None) else {}
     for field in dataclasses.fields(RunConfig):
         if getattr(args, field.name, None) is not None:
             values[field.name] = getattr(args, field.name)
@@ -87,11 +98,12 @@ def _run_and_write(config: RunConfig, operator=None):
 
 
 def _cmd_apply(parser, args) -> int:
-    params = FractionalParams(args.alpha, args.theta)
+    config = RunConfig(**_run_values(args))   # the defaults of unset flags
+    params = FractionalParams(config.alpha, config.theta)
     profile = result_from_csv(args.input)
     ghosts = "projection" if args.mode == "projection" else (lambda xq: np.zeros_like(xq))
     v = apply_riesz_feller(profile.final, profile.grid, params, ghosts=ghosts,
-                           tail_correction=bool(args.tail_correction))
+                           tail_correction=config.tail_correction)
     write_columns(args.out, ("x", "Du"), (profile.grid.x, v))
     print(f"wrote {args.out} ({len(v)} nodes, mode={args.mode})")
     return 0
@@ -119,18 +131,17 @@ def _cmd_speed(parser, args) -> int:
     est = estimate_speed(result, level=level, fit_window=args.fit_window)
     out = {"speed": est.speed, "intercept": est.intercept,
            "fit_rms": est.residual, "level": level,
-           "front_track": est.front_track}
-    try:
-        report = estimate_decay_rate(result)
-        out["decay_rate"] = report.decay_rate
-        out["decay_r_squared"] = report.r_squared
-    except FracfrontError:
-        out["decay_rate"] = None
+           "front_track": est.front_track, **decay_diagnostics(result)}
     print(json.dumps(out, indent=2))
     return 0
 
 
 def _cmd_sweep(parser, args) -> int:
+    for flag in _SWEEP_LISTS.values():   # directories are labelled with :g
+        labels = [f"{value:g}" for value in getattr(args, flag)]
+        if len(set(labels)) < len(labels):
+            raise OutOfRangeError(f"{getattr(args, flag)} give the output directory "
+                                  f"labels {labels}; two would share one", flag)
     values = _run_values(args)
     configs = [RunConfig(**{**values, "alpha": alpha, "theta": theta, "a": a,
                             "out": str(Path(args.out) /
@@ -180,20 +191,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate, parser=p_sim)
 
     p_apply = subs.add_parser("apply", help="apply the operator to a CSV profile")
-    p_apply.add_argument("--alpha", type=float, required=True)
-    p_apply.add_argument("--theta", type=float, required=True)
+    _add_run_arguments(p_apply, ("alpha", "theta", "tail_correction"))
     p_apply.add_argument("--input", required=True,
                          help="snapshot CSV; the last column is used")
     p_apply.add_argument("--mode", choices=("projection", "freespace"),
                          default="projection",
                          help="off-domain values: clamp to boundary, or zero")
-    p_apply.add_argument("--tail-correction", action="store_true")
     p_apply.add_argument("--out", required=True, help="output CSV (x, Du)")
     p_apply.set_defaults(func=_cmd_apply, parser=p_apply)
 
     p_green = subs.add_parser("green", help="sample the diffusion kernel")
-    p_green.add_argument("--alpha", type=float, required=True)
-    p_green.add_argument("--theta", type=float, required=True)
+    _add_run_arguments(p_green, ("alpha", "theta"))
     p_green.add_argument("--t", type=float, default=1.0)
     p_green.add_argument("--window", type=float, default=200.0)
     p_green.add_argument("--k-modes", type=int, default=2 ** 14)

@@ -84,9 +84,6 @@ class Grid1D:
     def __repr__(self):
         return f"Grid1D(b={self.b}, n={self.n})"
 
-    def __eq__(self, other):
-        return isinstance(other, Grid1D) and self.b == other.b and self.n == other.n
-
 
 def quadrature_nodes_weights(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     """Trapezoid nodes and weights for the singular-integral sub-mesh.

@@ -49,10 +49,10 @@ class RunConfig:
     ic: str = _param("initial condition: chen or step", "chen")
     step_lo: float = _param("step initial condition: value for x <= 0", STEP_LO)
     step_hi: float = _param("step initial condition: value for x > 0", STEP_HI)
-    stepper: str = _param(f"time stepper: {' or '.join(METHODS)}", "semi-implicit")
-    dt: float = _param("fixed step size (semi-implicit)", 0.02)
-    abs_tol: float = _param("absolute tolerance (rk-adaptive)", 1e-6)
-    rel_tol: float = _param("relative tolerance (rk-adaptive)", 1e-6)
+    stepper: str = _param(f"time stepper: {' or '.join(METHODS)}", StepperConfig.method)
+    dt: float = _param("fixed step size (semi-implicit)", StepperConfig.dt)
+    abs_tol: float = _param("absolute tolerance (rk-adaptive)", StepperConfig.abs_tol)
+    rel_tol: float = _param("relative tolerance (rk-adaptive)", StepperConfig.rel_tol)
     snapshots: int = _param("number of saved snapshots (including t = 0)", 21)
     tail_correction: bool = _param("add the operator's far-field tail", False)
     seed: int = _param("seed recorded in the manifest", 0)
@@ -86,21 +86,23 @@ def run_simulation(config: RunConfig,
     result = integrate(ic, schedule, cfg, grid, params, nl,
                        tail_correction=config.tail_correction,
                        operator=operator)
-    diag = {"speed": None, "speed_intercept": None, "speed_residual": None,
-            "decay_rate": None, "decay_r_squared": None}
+    diag = {"speed": None, "speed_intercept": None, "speed_residual": None}
     try:
         est = estimate_speed(result)
         diag.update(speed=est.speed, speed_intercept=est.intercept,
                     speed_residual=est.residual)
     except FracfrontError:
         pass
+    return result, {**diag, **decay_diagnostics(result)}
+
+
+def decay_diagnostics(result: SimulationResult) -> dict:
+    """``decay_rate`` and ``decay_r_squared`` of the relaxation fit (None if unfit)."""
     try:
         report = estimate_decay_rate(result)
-        diag.update(decay_rate=report.decay_rate,
-                    decay_r_squared=report.r_squared)
     except FracfrontError:
-        pass
-    return result, diag
+        return {"decay_rate": None, "decay_r_squared": None}
+    return {"decay_rate": report.decay_rate, "decay_r_squared": report.r_squared}
 
 
 # ---------------------------------------------------------------------------

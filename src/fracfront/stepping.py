@@ -35,6 +35,7 @@ from .reaction import BistableCubic
 
 DIVERGENCE_THRESHOLD = 1e6  # far above the [0, ~1.5] range of all experiments
 DT_INITIAL = 1e-3           # first trial step of rk-adaptive
+MAX_STEPS = 10_000_000      # budget of accepted, and of rejected, steps per run
 
 METHODS = ("semi-implicit", "rk-adaptive")
 
@@ -45,13 +46,12 @@ class StepperConfig:
     dt: float = 0.02                 # semi-implicit
     abs_tol: float = 1e-6            # rk-adaptive
     rel_tol: float = 1e-6
-    max_steps: int = 10_000_000
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise OutOfRangeError(
                 f"stepper must be one of {METHODS}, got {self.method!r}", "stepper")
-        for name in ("dt", "abs_tol", "rel_tol", "max_steps"):
+        for name in ("dt", "abs_tol", "rel_tol"):
             value = getattr(self, name)
             if not 0 < value < np.inf:
                 raise OutOfRangeError(
@@ -115,7 +115,6 @@ def step_semi_implicit(u: np.ndarray, dt: float, A: OperatorMatrix,
 # explicit adaptive Dormand-Prince 5(4)
 # ---------------------------------------------------------------------------
 
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = (
     (),
     (1 / 5,),
@@ -129,15 +128,13 @@ _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
           187 / 2100, 1 / 40)
 
-_SAFETY = 0.9
-_FACTOR_MIN = 0.2
-_FACTOR_MAX = 5.0
+_SAFETY, _FACTOR_MIN, _FACTOR_MAX = 0.9, 0.2, 5.0   # step-size controller
 
 
-def step_explicit_rk(u, t, dt_try, rhs, abs_tol, rel_tol):
-    """One embedded 5(4) trial step with the standard error controller.
+def step_explicit_rk(u, dt_try, rhs, abs_tol, rel_tol):
+    """One embedded 5(4) trial step of the autonomous system ``u' = rhs(u)``.
 
-    Returns ``(u_new, dt_used, dt_next, accepted)``.  The error measure is
+    Returns ``(u_new, dt_next, accepted)``.  The error measure is
     ``max_n |e_n| / (abs_tol + rel_tol |u_n|)`` against the pre-step state;
     the step is accepted iff it is <= 1, and the next step size follows the
     safety-factored power law with the growth factor clamped to [0.2, 5].
@@ -148,7 +145,7 @@ def step_explicit_rk(u, t, dt_try, rhs, abs_tol, rel_tol):
         for aij, kj in zip(_DP_A[i], k):
             if aij:
                 ui = ui + dt_try * aij * kj
-        k.append(rhs(t + _DP_C[i] * dt_try, ui))
+        k.append(rhs(ui))
     u5 = u
     err_vec = np.zeros_like(u)
     for b5, b4, kj in zip(_DP_B5, _DP_B4, k):
@@ -157,12 +154,10 @@ def step_explicit_rk(u, t, dt_try, rhs, abs_tol, rel_tol):
         if b5 != b4:
             err_vec = err_vec + dt_try * (b5 - b4) * kj
     err = float(np.max(np.abs(err_vec) / (abs_tol + rel_tol * np.abs(u))))
-    if err == 0.0:
-        factor = _FACTOR_MAX
-    else:
-        factor = min(_FACTOR_MAX, max(_FACTOR_MIN, _SAFETY * err ** -0.2))
+    factor = (_FACTOR_MAX if err == 0.0
+              else min(_FACTOR_MAX, max(_FACTOR_MIN, _SAFETY * err ** -0.2)))
     accepted = err <= 1.0
-    return (u5 if accepted else u), dt_try, dt_try * factor, accepted
+    return (u5 if accepted else u), dt_try * factor, accepted
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +188,6 @@ def integrate(
     if operator is None:
         operator = assemble_operator_matrix(grid, params, tail_correction)
 
-    t_final = schedule[-1] if schedule[-1] > 0 else 1.0
     stats = {"steps": 0, "rejected_steps": 0,
              "u_min": float(u.min()), "u_max": float(u.max())}
     states = [u.copy()]
@@ -201,8 +195,8 @@ def integrate(
 
     def bookkeep(v):
         stats["steps"] += 1
-        if stats["steps"] > cfg.max_steps:
-            raise StepLimitError(f"exceeded max_steps = {cfg.max_steps}")
+        if stats["steps"] > MAX_STEPS:
+            raise StepLimitError(f"exceeded MAX_STEPS = {MAX_STEPS}")
         lo, hi = float(v.min()), float(v.max())   # NaN if any entry is NaN
         if not -DIVERGENCE_THRESHOLD <= lo <= hi <= DIVERGENCE_THRESHOLD:
             raise DivergedError(f"|u| reached {max(-lo, hi):.3g}")
@@ -225,29 +219,27 @@ def integrate(
                 bookkeep(u)
             states.append(u.copy())
     else:  # rk-adaptive
-        def rhs(_t, v):
+        def rhs(v):
             Av = operator.matvec(v)
             return Av + nl.f(v) if nl is not None else Av
 
         dt = DT_INITIAL
-        for k in range(1, len(schedule)):
-            t, t_end = schedule[k - 1], schedule[k]
+        for t, t_end in zip(schedule[:-1], schedule[1:]):
             while t < t_end:
                 clipped = dt > t_end - t
                 dt_try = min(dt, t_end - t)
-                if dt_try < 1e-14 * t_final:
-                    raise StepUnderflowError(
-                        f"dt = {dt_try:.3g} below 1e-14 * t_final")
-                u_new, dt_used, dt_next, accepted = step_explicit_rk(
-                    u, t, dt_try, rhs, cfg.abs_tol, cfg.rel_tol)
+                if dt_try < 1e-14 * schedule[-1]:
+                    raise StepUnderflowError(f"dt = {dt_try:.3g} below 1e-14 * t_final")
+                u_new, dt_next, accepted = step_explicit_rk(
+                    u, dt_try, rhs, cfg.abs_tol, cfg.rel_tol)
                 if accepted:
-                    t = t_end if clipped or t_end - t <= dt_used else t + dt_used
+                    t = t_end if t_end - t <= dt_try else t + dt_try
                     u = u_new
                     bookkeep(u)
                 else:
                     stats["rejected_steps"] += 1
-                    if stats["rejected_steps"] > cfg.max_steps:
-                        raise StepLimitError("rejection loop exceeded max_steps")
+                    if stats["rejected_steps"] > MAX_STEPS:
+                        raise StepLimitError("rejection loop exceeded MAX_STEPS")
                 # a boundary-clipped step must not shrink the controller state
                 dt = max(dt, dt_next) if (clipped and accepted) else dt_next
             states.append(u.copy())

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import string
 import subprocess
 import sys
@@ -266,6 +267,21 @@ class TestCLI:
                  @ profile.final)
         assert np.max(np.abs(v - dense)) <= 1e-13 * np.max(np.abs(dense))
 
+    @pytest.mark.parametrize("flag,tail", [([], False),
+                                           (["--tail-correction"], True),
+                                           (["--no-tail-correction"], False)])
+    def test_apply_tail_flag_spellings(self, tmp_path, capsys, flag, tail):
+        main(self._simulate_args(tmp_path / "run"))
+        rc = main(["apply", "--alpha", "1.8", "--theta", "0.1", *flag,
+                   "--input", str(tmp_path / "run" / "snapshots.csv"),
+                   "--out", str(tmp_path / "applied.csv")])
+        assert rc == 0
+        profile = result_from_csv(tmp_path / "run" / "snapshots.csv")
+        v = apply_riesz_feller(profile.final, profile.grid,
+                               FractionalParams(1.8, 0.1), tail_correction=tail)
+        assert (tmp_path / "applied.csv").read_bytes() == _repr_csv(
+            "x,Du", profile.grid.x, v)
+
     def test_apply_missing_input_exits_1(self, tmp_path, capsys):
         rc = main(["apply", "--alpha", "1.8", "--theta", "0.1",
                    "--input", str(tmp_path / "nope.csv"),
@@ -298,6 +314,18 @@ class TestCLI:
         out = json.loads(capsys.readouterr().out)
         manifest = json.loads((tmp_path / "run4" / "manifest.json").read_text())
         assert abs(out["speed"] - manifest["diagnostics"]["speed"]) <= 1e-12
+
+    def test_speed_without_decay_fit_reports_null(self, tmp_path, capsys):
+        # four snapshots are too few for the decay fit, enough for the speed
+        main(self._simulate_args(tmp_path / "run", **{"--snapshots": "4"}))
+        capsys.readouterr()
+        assert main(["speed", "--run", str(tmp_path / "run"),
+                     "--fit-window", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert list(out) == ["speed", "intercept", "fit_rms", "level",
+                             "front_track", "decay_rate", "decay_r_squared"]
+        assert out["decay_rate"] is None and out["decay_r_squared"] is None
+        assert out["speed"] < 0
 
     def test_sweep_layout_and_shared_seed(self, tmp_path, capsys):
         rc = main(["sweep", "--alphas", "1.5", "--thetas=-0.1,0.1",
@@ -433,6 +461,20 @@ class TestExitCodes:
         assert f"{cfg}:3: n:" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("text,where", [
+        ("# a comment-only line\n\nalpha = 1.5\ntheta = 0\nn = x\n", ":5: n:"),
+        ("alpha = 1.5\ntheta 0\n", ":2: expected 'key = value'"),
+        ("alpha = 1.5\ntheta = 0\ntail_correction = maybe\n",
+         ":3: tail_correction: expected a boolean"),
+    ], ids=["lines-after-blank-and-comment", "no-equals", "bad-boolean"])
+    def test_config_file_bad_line_exits_2(self, tmp_path, capsys, text, where):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        err = self._exits_2(["simulate", "--config", str(cfg),
+                             "--out", str(tmp_path / "run")], capsys)
+        assert f"{cfg}{where}" in err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_config_file_out_key_exits_2(self, tmp_path, capsys, command):
         # the output directory is the --out flag only; the key never applied
@@ -516,6 +558,21 @@ class TestExitCodes:
                              "--a-list", "0.5", *self.SMALL_RUN,
                              "--out", str(tmp_path / "sw")], capsys)
         assert "--thetas:" in err
+        assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("lists,flag", [
+        (["--alphas", "1.5", "--thetas=0.1000001,0.1000002", "--a-list", "0.5"],
+         "--thetas"),
+        (["--alphas", "1.5", "--thetas", "0", "--a-list", "0.4,0.5,0.4"],
+         "--a-list"),
+    ], ids=["rounded-twins", "repeated-value"])
+    def test_sweep_colliding_directory_labels_exit_2(self, tmp_path, capsys,
+                                                     lists, flag):
+        # directories are labelled with :g; two values with one label would
+        # write one directory twice
+        err = self._exits_2(["sweep", *lists, *self.SMALL_RUN,
+                             "--out", str(tmp_path / "sw")], capsys)
+        assert f"{flag}:" in err and "two would share one" in err
         assert not (tmp_path / "sw").exists()
 
     @pytest.mark.parametrize("lists,flag", [
@@ -604,6 +661,24 @@ class TestRunConfigFlags:
             for f in dataclasses.fields(RunConfig):
                 if f.name not in skipped:
                     assert f"--{f.name.replace('_', '-')} " in text, (command, f.name)
+
+    def test_shared_flags_have_one_help_text(self, capsys):
+        def entries(command):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            text = capsys.readouterr().out.split("options:")[1]
+            # one entry per option; continuation lines are indented deeper
+            blocks = re.split(r"\n(?=  -)", text)
+            return {b.split()[0].rstrip(","): " ".join(b.split()) for b in blocks
+                    if b.strip().startswith("-")}
+
+        simulate = entries("simulate")
+        for command, flags in (("apply", ("--alpha", "--theta",
+                                          "--tail-correction")),
+                               ("green", ("--alpha", "--theta"))):
+            shown = entries(command)
+            for flag in flags:
+                assert shown[flag] == simulate[flag], (command, flag)
 
     def test_one_snapshot_with_positive_t_final_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

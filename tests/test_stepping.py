@@ -16,6 +16,7 @@ from fracfront import (
     OutOfRangeError,
     StepLimitError,
     StepperConfig,
+    StepUnderflowError,
     assemble_operator_matrix,
     chen_ramp,
     integrate,
@@ -41,7 +42,7 @@ class TestConfig:
             StepperConfig(method="rk-adaptive", abs_tol=0.0)
 
     @pytest.mark.parametrize("method", ["semi-implicit", "rk-adaptive"])
-    @pytest.mark.parametrize("name", ["dt", "abs_tol", "rel_tol", "max_steps"])
+    @pytest.mark.parametrize("name", ["dt", "abs_tol", "rel_tol"])
     def test_every_field_checked_for_every_method(self, method, name):
         for bad in (0, -1.0, float("nan"), float("inf")):
             with pytest.raises(OutOfRangeError) as exc:
@@ -135,37 +136,65 @@ class TestSemiImplicit:
 class TestExplicitRK:
     def test_zero_rhs_grows_step(self):
         u = np.ones(5)
-        rhs = lambda t, v: np.zeros_like(v)
-        u_new, dt_used, dt_next, accepted = step_explicit_rk(
-            u, 0.0, 0.1, rhs, 1e-9, 1e-9)
+        rhs = lambda v: np.zeros_like(v)
+        u_new, dt_next, accepted = step_explicit_rk(u, 0.1, rhs, 1e-9, 1e-9)
         assert accepted
         assert np.all(u_new == u)
         assert dt_next == pytest.approx(0.5)     # maximal growth factor 5
 
     def test_scalar_exponential(self):
-        rhs = lambda t, v: -v
+        rhs = lambda v: -v
         u = np.array([1.0])
         t, dt = 0.0, 1e-3
         rel_tol = 1e-8
         while t < 1.0:
             dt_try = min(dt, 1.0 - t)
-            u_new, dt_used, dt_next, accepted = step_explicit_rk(
-                u, t, dt_try, rhs, 1e-12, rel_tol)
+            u_new, dt_next, accepted = step_explicit_rk(
+                u, dt_try, rhs, 1e-12, rel_tol)
             if accepted:
                 u = u_new
-                t += dt_used
+                t += dt_try
             dt = dt_next
         assert abs(u[0] - np.exp(-1.0)) <= 10 * rel_tol
 
     def test_growth_factor_clamped(self):
-        rhs = lambda t, v: -50.0 * v  # stiff scalar: rejections expected
+        rhs = lambda v: -50.0 * v  # stiff scalar: rejections expected
         u = np.array([1.0])
         dt = 1.0
         for _ in range(20):
-            _, dt_used, dt_next, _ = step_explicit_rk(
-                u, 0.0, dt, rhs, 1e-8, 1e-8)
-            assert 0.2 - 1e-12 <= dt_next / dt_used <= 5.0 + 1e-12
+            _, dt_next, _ = step_explicit_rk(u, dt, rhs, 1e-8, 1e-8)
+            assert 0.2 - 1e-12 <= dt_next / dt <= 5.0 + 1e-12
             dt = dt_next
+
+
+class TestAdaptiveRejections:
+    """The rk-adaptive controller's rejection branch and its guards."""
+
+    grid = Grid1D(10.0, 201)   # h = 0.1: stiff enough to reject trial steps
+    params = FractionalParams(1.5, 0.0)
+    cfg = StepperConfig(method="rk-adaptive")
+
+    def run(self, schedule):
+        return integrate(chen_ramp(self.grid.x), schedule, self.cfg,
+                         self.grid, self.params, BistableCubic(0.5))
+
+    def test_stiff_run_rejects_and_recovers(self):
+        res = self.run(make_schedule(1.0, 2))
+        assert res.stats["rejected_steps"] > 0
+        assert res.times[-1] == 1.0
+        assert 0.0 <= res.final.min() and res.final.max() <= 1.0 + 1e-6
+
+    def test_rejection_budget(self, monkeypatch):
+        # a first trial step of 1 is rejected, and so are its 0.2x shrinks,
+        # so the rejection count passes the budget before any step is taken
+        monkeypatch.setattr(fracfront.stepping, "DT_INITIAL", 1.0)
+        monkeypatch.setattr(fracfront.stepping, "MAX_STEPS", 2)
+        with pytest.raises(StepLimitError, match="rejection loop"):
+            self.run(make_schedule(1.0, 2))
+
+    def test_step_underflow(self):
+        with pytest.raises(StepUnderflowError):
+            self.run(np.array([0.0, 1e-16, 1.0]))
 
 
 class TestIntegrate:
@@ -234,13 +263,25 @@ class TestIntegrate:
             integrate(chen_ramp(g.x), make_schedule(1.0, 3), cfg, g,
                       FractionalParams(1.5, 0.0), NaNAbove())
 
-    def test_step_budget(self):
+    def test_step_budget(self, monkeypatch):
+        monkeypatch.setattr(fracfront.stepping, "MAX_STEPS", 5)
         g = Grid1D(10.0, 41)
         p = FractionalParams(1.5, 0.0)
-        cfg = StepperConfig(method="semi-implicit", dt=0.001, max_steps=5)
+        cfg = StepperConfig(method="semi-implicit", dt=0.001)
         with pytest.raises(StepLimitError):
             integrate(np.full(g.n, 0.3), make_schedule(1.0, 2), cfg, g, p,
                       BistableCubic(0.5))
+
+    @pytest.mark.parametrize("schedule,match", [
+        ([0.5, 1.0], "start at t = 0"), ([], "start at t = 0"),
+        ([0.0, 1.0, 1.0], "strictly increasing"),
+        ([0.0, 2.0, 1.0], "strictly increasing"),
+    ])
+    def test_bad_schedule_rejected(self, schedule, match):
+        g = Grid1D(10.0, 41)
+        with pytest.raises(OutOfRangeError, match=match):
+            integrate(np.full(g.n, 0.3), schedule, StepperConfig(), g,
+                      FractionalParams(1.5, 0.0), BistableCubic(0.5))
 
     def test_stats_recorded(self):
         g = Grid1D(10.0, 41)
