@@ -76,6 +76,12 @@ def _run_values(args: argparse.Namespace) -> dict:
     return values
 
 
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """Keywords of the flags in ``names`` that were given (callee defaults stand)."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
+
+
 def _cmd_simulate(parser, args) -> int:
     values = _run_values(args)
     if "alpha" not in values or "theta" not in values:
@@ -111,8 +117,7 @@ def _cmd_apply(parser, args) -> int:
 
 def _cmd_green(parser, args) -> int:
     params = FractionalParams(args.alpha, args.theta)
-    x, g = green_function(params, t=args.t, window=args.window,
-                          k_modes=args.k_modes)
+    x, g = green_function(params, t=args.t, **_given(args, "window", "k_modes"))
     write_columns(args.out, ("x", "g"), (x, g))
     mass = float(np.sum(g) * (x[1] - x[0]))
     print(f"wrote {args.out} (mass={mass:.6f}, peak={g.max():.6g})")
@@ -127,8 +132,14 @@ def _cmd_speed(parser, args) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         raise FracfrontError(f"{manifest}: not a run manifest ({exc!r})") from exc
     level = args.level if args.level is not None else a
-    result = result_from_csv(run_dir / "snapshots.csv", a=a)
-    est = estimate_speed(result, level=level, fit_window=args.fit_window)
+    csv = run_dir / "snapshots.csv"
+    result = result_from_csv(csv, a=a)
+    try:
+        est = estimate_speed(result, level=level, **_given(args, "fit_window"))
+    except OutOfRangeError as exc:
+        if exc.param != "snapshots":
+            raise
+        raise FracfrontError(f"{csv}: {exc}") from exc   # the run is too short
     out = {"speed": est.speed, "intercept": est.intercept,
            "fit_rms": est.residual, "level": level,
            "front_track": est.front_track, **decay_diagnostics(result)}
@@ -202,9 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_green = subs.add_parser("green", help="sample the diffusion kernel")
     _add_run_arguments(p_green, ("alpha", "theta"))
-    p_green.add_argument("--t", type=float, default=1.0)
-    p_green.add_argument("--window", type=float, default=200.0)
-    p_green.add_argument("--k-modes", type=int, default=2 ** 14)
+    p_green.add_argument("--t", type=float, default=1.0,
+                         help="diffusion time (default %(default)g)")
+    p_green.add_argument("--window", type=float,
+                         help="width of the x range sampled around 0")
+    p_green.add_argument("--k-modes", type=int,
+                         help="number of samples and Fourier modes")
     p_green.add_argument("--out", required=True, help="output CSV (x, g)")
     p_green.set_defaults(func=_cmd_green, parser=p_green)
 
@@ -212,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_speed.add_argument("--run", required=True, help="run directory")
     p_speed.add_argument("--level", type=float, default=None,
                          help="front level (default: threshold a from manifest)")
-    p_speed.add_argument("--fit-window", type=float, default=0.5)
+    p_speed.add_argument("--fit-window", type=float,
+                         help="trailing fraction of the snapshots the fit uses")
     p_speed.set_defaults(func=_cmd_speed, parser=p_speed)
 
     # no prefix matching: --alpha or --theta would be read as the list flag

@@ -3,7 +3,7 @@
 Front positions are tracked at the unstable threshold ``a`` by default: that
 crossing is the dynamically meaningful interface (it coincides with 0.5 only
 in the balanced case).  Speed fits use the last half of the snapshots to
-skip the initial transient.
+skip the initial transient.  Shift matching refines between its scan rows.
 """
 
 from __future__ import annotations
@@ -105,11 +105,11 @@ def estimate_speed(result: SimulationResult, level: Optional[float] = None,
     if not abs(level) < np.inf:
         raise OutOfRangeError(f"level must be finite, got {level}", "level")
     k0 = int(math.ceil(len(result.times) * (1.0 - fit_window)))
-    k0 = min(k0, len(result.times) - 1)
     ts = result.times[k0:]
-    if len(ts) < 4:
-        raise OutOfRangeError("speed fit needs at least 4 snapshots in the window",
-                              "fit_window")
+    if len(ts) < 4:   # the run is at fault when no window would reach 4
+        raise OutOfRangeError(f"speed fit needs at least 4 snapshots in the "
+                              f"window, the run has {len(result.times)}",
+                              "snapshots" if len(result.times) < 4 else "fit_window")
     fronts = np.array([front_position(result.states[k], result.grid, level)
                        for k in range(k0, len(result.times))])
     design = np.vstack([ts, np.ones_like(ts)]).T
@@ -125,68 +125,52 @@ def estimate_speed(result: SimulationResult, level: Optional[float] = None,
 # profile distance modulo translation
 # ---------------------------------------------------------------------------
 
-def _translate(u: np.ndarray, x: np.ndarray, s: float) -> np.ndarray:
-    # evaluate u(x - s); np.interp clamps to the end values (flat far field)
-    return np.interp(x - s, x, u)
-
-
 SCAN_BLOCK_DOUBLES = 16384      # work buffer of the whole-cell scan (128 KiB)
-
-
-def _whole_cell_residuals(u1: np.ndarray, u2: np.ndarray,
-                          kmax: int) -> np.ndarray:
-    """max|u2 - u1(. - k h)| for k = -kmax..kmax, clamped ends.
-
-    Row r of the windows over ``u1`` padded with ``kmax`` end values on each
-    side is u1 translated by ``(kmax - r)`` cells, so reversing the row
-    residuals orders them by k.  Rows are taken in blocks through one buffer.
-    """
-    n = len(u1)
-    padded = np.concatenate([np.full(kmax, u1[0]), u1, np.full(kmax, u1[-1])])
-    rows = np.lib.stride_tricks.sliding_window_view(padded, n)
-    per_block = max(1, SCAN_BLOCK_DOUBLES // n)
-    buf = np.empty((min(per_block, len(rows)), n))
-    vals = np.empty(len(rows))
-    for r0 in range(0, len(rows), per_block):
-        chunk = rows[r0:r0 + per_block]
-        block = buf[:len(chunk)]
-        np.subtract(u2, chunk, out=block)
-        np.abs(block, out=block)
-        np.max(block, axis=1, out=vals[r0:r0 + len(chunk)])
-    return vals[::-1]
 
 
 def shift_matched_residual(u1: np.ndarray, u2: np.ndarray,
                            grid: Grid1D) -> tuple[float, float]:
     """L-inf distance between u2 and its best-matching translate of u1.
 
-    Scans every whole-cell shift in [-b/2, b/2] in one pass over windows of
-    ``u1`` padded with its end values, which is exactly linear interpolation
-    at ``x - k h``; rows go in blocks through one buffer of
-    ``SCAN_BLOCK_DOUBLES`` doubles (one row when n is larger).  Golden-section
-    search then refines within one cell either side of the best whole cell
-    only, off-grid values by linear interpolation; on plateaus the whole-cell
-    winner is kept.  For fronts this is the minimum over shifts; for
-    non-monotone profiles with several near-equal minima it is an upper bound,
-    as a lower minimum near another cell is not searched.  Returns
+    The rows, windows of ``u1`` padded with its end values, are its translates
+    by whole cells k: linear interpolation at ``x - k h``.  One pass scans
+    every k h in [-b/2, b/2] through a buffer of ``SCAN_BLOCK_DOUBLES``
+    doubles (one row when n is larger).  Golden-section search then refines
+    within one cell either side of the best whole cell only, the translate by
+    (k + t) h being ``(1 - t) row_k + t row_(k+1)``; on plateaus the
+    whole-cell winner is kept.  For fronts this is the minimum over shifts;
+    for non-monotone profiles with several near-equal minima it is an upper
+    bound, as a lower minimum near another cell is not searched.  Returns
     ``(residual, shift)`` with ``u2 ~ u1(. - shift)``.
     """
     u1 = validate_state(u1, grid)
     u2 = validate_state(u2, grid)
-    x = grid.x
+    n, h = grid.n, grid.h
+    kmax = int(grid.b / 2 / h)
+    padded = np.pad(u1, kmax + 1, mode="edge")
+    # rows[k + kmax + 1] is u1 translated by k cells, |k| <= kmax + 1
+    rows = np.lib.stride_tricks.sliding_window_view(padded, n)[::-1]
 
     def res(s):
-        return float(np.max(np.abs(u2 - _translate(u1, x, s))))
+        k, t = divmod(s / h, 1.0)
+        r = int(k) + kmax + 1
+        blend = (1 - t) * rows[r] + t * rows[r + 1]
+        return float(np.max(np.abs(u2 - blend)))
 
-    kmax = int(grid.b / 2 / grid.h)
-    coarse = np.arange(-kmax, kmax + 1) * grid.h
-    vals = _whole_cell_residuals(u1, u2, kmax)
-    i = int(np.argmin(vals))
-    lo = coarse[max(0, i - 1)]
-    hi = coarse[min(len(coarse) - 1, i + 1)]
+    scan = rows[1:-1]
+    per_block = max(1, SCAN_BLOCK_DOUBLES // n)
+    buf = np.empty((min(per_block, len(scan)), n))
+    vals = np.empty(len(scan))
+    for r0 in range(0, len(scan), per_block):
+        chunk = scan[r0:r0 + per_block]
+        block = buf[:len(chunk)]
+        np.subtract(u2, chunk, out=block)
+        np.abs(block, out=block)
+        np.max(block, axis=1, out=vals[r0:r0 + len(chunk)])
+    i = int(np.argmin(vals))   # the shift (i - kmax) h
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = (max(0, i - 1) - kmax) * h, (min(2 * kmax, i + 1) - kmax) * h
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = res(c), res(d)
@@ -204,7 +188,7 @@ def shift_matched_residual(u1: np.ndarray, u2: np.ndarray,
     shift = 0.5 * (a + b)
     best = res(shift)
     if vals[i] < best:  # keep the coarse winner on plateaus
-        return float(vals[i]), float(coarse[i])
+        return float(vals[i]), float((i - kmax) * h)
     return best, float(shift)
 
 

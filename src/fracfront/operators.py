@@ -148,8 +148,8 @@ class OperatorMatrix:
         """
         m = len(self.weights) // 2
         size = 2 * (len(self._spectrum) - 1)
-        w = u - u[0]
         we = _extend(u, self.grid, ghosts, m) - u[0]
+        w = we[m:m + self.grid.n]
         corr = np.fft.irfft(np.fft.rfft(we, size) * self._spectrum, size)
         return (corr[2 * m:2 * m + self.grid.n] + self.far[1] * w[-1]
                 - self.row_sum * w)

@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -31,7 +33,7 @@ from fracfront import (
     write_manifest,
     write_snapshot_csv,
 )
-from fracfront.cli import main
+from fracfront.cli import build_parser, main
 
 def _repr_csv(header, x, y) -> bytes:
     """Reference two-column CSV, written value by value with repr."""
@@ -551,6 +553,53 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(
             "error: profile never crosses level 5.0")
 
+    @pytest.mark.parametrize("fit_window", [[], ["--fit-window", "1"]])
+    def test_speed_on_a_short_run_exits_1(self, tmp_path, capsys, fit_window):
+        # no fit window reaches 4 snapshots: the run directory is at fault
+        assert main(["simulate", "--alpha", "1.8", "--theta", "0.1",
+                     *self.SMALL_RUN, "--snapshots", "3",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["speed", "--run", str(tmp_path), *fit_window]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {tmp_path / 'snapshots.csv'}: ")
+        assert captured.out == ""
+
+    def test_speed_narrow_fit_window_exits_2(self, tmp_path, capsys):
+        # a wider window would reach 4 of the 21 snapshots
+        assert main(["simulate", "--alpha", "1.8", "--theta", "0.1",
+                     *self.SMALL_RUN, "--snapshots", "21",
+                     "--out", str(tmp_path)]) == 0
+        err = self._exits_2(["speed", "--run", str(tmp_path),
+                             "--fit-window", "0.1"], capsys)
+        assert "--fit-window:" in err
+
+    @pytest.mark.parametrize("command", ["apply", "speed"])
+    def test_nonnegative_first_x_exits_1(self, tmp_path, capsys, command):
+        # the grid is rebuilt as [x0, -x0]: a first node at x >= 0 has none
+        csv = tmp_path / "snapshots.csv"
+        csv.write_text("x,u@t=0\n0,0.1\n1,0.2\n2,0.3\n")
+        (tmp_path / "manifest.json").write_text('{"config": {"a": 0.5}}')
+        argv = (["speed", "--run", str(tmp_path)] if command == "speed" else
+                ["apply", "--alpha", "1.8", "--theta", "0.1", "--input", str(csv),
+                 "--out", str(tmp_path / "a.csv")])
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {csv}: ")
+        assert not (tmp_path / "a.csv").exists()
+
+    def test_unwritable_outputs_exit_1(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        (run / "manifest.json").mkdir(parents=True)
+        assert main(["simulate", "--alpha", "1.8", "--theta", "0.1",
+                     *self.SMALL_RUN, "--out", str(run)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write manifest {run / 'manifest.json'}")
+        out = tmp_path / "missing" / "a.csv"
+        assert main(["apply", "--alpha", "1.8", "--theta", "0.1",
+                     "--input", str(run / "snapshots.csv"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write CSV {out}")
+
     def test_sweep_validates_every_configuration_before_writing(
             self, tmp_path, capsys):
         # theta = 0.9 is outside min(alpha, 2 - alpha) = 0.5; theta = 0 is fine
@@ -679,6 +728,24 @@ class TestRunConfigFlags:
             shown = entries(command)
             for flag in flags:
                 assert shown[flag] == simulate[flag], (command, flag)
+
+    def test_every_option_has_help(self):
+        subs = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+        for command, sub in subs.choices.items():
+            for action in sub._actions:
+                assert action.help and action.help != argparse.SUPPRESS, (
+                    command, action.option_strings)
+
+    def test_green_defaults_are_the_library_defaults(self, tmp_path, capsys):
+        defaults = inspect.signature(green_function).parameters
+        spelled = ["--t", "1", "--window", str(defaults["window"].default),
+                   "--k-modes", str(defaults["k_modes"].default)]
+        for name, flags in (("implicit", []), ("spelled", spelled)):
+            assert main(["green", "--alpha", "2", "--theta", "0", *flags,
+                         "--out", str(tmp_path / f"{name}.csv")]) == 0
+        assert ((tmp_path / "implicit.csv").read_bytes()
+                == (tmp_path / "spelled.csv").read_bytes())
 
     def test_one_snapshot_with_positive_t_final_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -151,6 +151,11 @@ class TestAssembledMatrix:
             rows = np.abs(A.entries).max(axis=1)
             assert np.max(np.abs(A.entries.sum(axis=1)) / rows) <= 1e-12
 
+    def test_unknown_ghost_policy_is_rejected(self):
+        A = assemble_operator_matrix(Grid1D(10.0, 41), FractionalParams(1.5, 0.0))
+        with pytest.raises(UnsupportedError, match="periodic"):
+            A.matvec(np.ones(41), ghosts="periodic")
+
     @pytest.mark.parametrize("tail", [False, True])
     def test_matches_matrix_free(self, tail):
         g = Grid1D(30.0, 181)

@@ -137,7 +137,8 @@ class TestExplicitRK:
     def test_zero_rhs_grows_step(self):
         u = np.ones(5)
         rhs = lambda v: np.zeros_like(v)
-        u_new, dt_next, accepted = step_explicit_rk(u, 0.1, rhs, 1e-9, 1e-9)
+        u_new, _, dt_next, accepted = step_explicit_rk(u, rhs(u), 0.1, rhs,
+                                                       1e-9, 1e-9)
         assert accepted
         assert np.all(u_new == u)
         assert dt_next == pytest.approx(0.5)     # maximal growth factor 5
@@ -149,8 +150,8 @@ class TestExplicitRK:
         rel_tol = 1e-8
         while t < 1.0:
             dt_try = min(dt, 1.0 - t)
-            u_new, dt_next, accepted = step_explicit_rk(
-                u, dt_try, rhs, 1e-12, rel_tol)
+            u_new, _, dt_next, accepted = step_explicit_rk(
+                u, rhs(u), dt_try, rhs, 1e-12, rel_tol)
             if accepted:
                 u = u_new
                 t += dt_try
@@ -162,7 +163,7 @@ class TestExplicitRK:
         u = np.array([1.0])
         dt = 1.0
         for _ in range(20):
-            _, dt_next, _ = step_explicit_rk(u, dt, rhs, 1e-8, 1e-8)
+            _, _, dt_next, _ = step_explicit_rk(u, rhs(u), dt, rhs, 1e-8, 1e-8)
             assert 0.2 - 1e-12 <= dt_next / dt <= 5.0 + 1e-12
             dt = dt_next
 
@@ -183,6 +184,18 @@ class TestAdaptiveRejections:
         assert res.stats["rejected_steps"] > 0
         assert res.times[-1] == 1.0
         assert 0.0 <= res.final.min() and res.final.max() <= 1.0 + 1e-6
+
+    def test_first_same_as_last(self):
+        # 6 right-hand sides per trial step, accepted or rejected, and one
+        # at the start: an accepted step's last stage is the next one's first
+        op = assemble_operator_matrix(self.grid, self.params)
+        matvec, calls = op.matvec, []
+        op.matvec = lambda v: calls.append(None) or matvec(v)
+        res = integrate(chen_ramp(self.grid.x), make_schedule(1.0, 3), self.cfg,
+                        self.grid, self.params, BistableCubic(0.5), operator=op)
+        trials = res.stats["steps"] + res.stats["rejected_steps"]
+        assert res.stats["rejected_steps"] > 0
+        assert len(calls) == 6 * trials + 1
 
     def test_rejection_budget(self, monkeypatch):
         # a first trial step of 1 is rejected, and so are its 0.2x shrinks,
