@@ -7,13 +7,25 @@ application on a saved profile), ``green`` (sample the diffusion kernel),
 
 Exit codes: 0 success; 1 unreadable input file or runtime failure; 2 bad
 flag, option or config-file value (the message names the flag).
+
+Above ``DENSE_INVERSE_MAX_N`` nodes, ``sweep`` runs its (alpha, theta) groups
+in forked worker processes, one per usable CPU, at most one per group: each
+step there is numpy FFT work on one thread.  At or below it a step is a BLAS
+mat-vec that already spreads over every core, so the sweep stays in-process.
+Workers (about 30 MiB each at n = 1601) print nothing; this process prints
+the summary lines in configuration order.  The first failure in that order
+exits as it would in-process; a worker that dies exits 1 naming its group.
+Groups already handed to a worker still finish.  Python 3.12+ warns when it
+forks a process that has threads, as BLAS starts them.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -23,7 +35,8 @@ from . import __version__
 from .diagnostics import estimate_speed, green_function
 from .errors import FracfrontError, OutOfRangeError
 from .grids import FractionalParams
-from .operators import apply_riesz_feller, assemble_operator_matrix
+from .operators import (DENSE_INVERSE_MAX_N, apply_riesz_feller,
+                        assemble_operator_matrix)
 from .runio import (
     CONFIG_TYPES,
     RunConfig,
@@ -86,11 +99,12 @@ def _cmd_simulate(parser, args) -> int:
     values = _run_values(args)
     if "alpha" not in values or "theta" not in values:
         parser.error("--alpha and --theta are required (flag or config file)")
-    _run_and_write(RunConfig(**values))
+    print(_run_and_write(RunConfig(**values)))
     return 0
 
 
-def _run_and_write(config: RunConfig, operator=None):
+def _run_and_write(config: RunConfig, operator=None) -> str:
+    """Run ``config``, write its outputs and return its summary line."""
     result, diag = run_simulation(config, operator)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -98,9 +112,9 @@ def _run_and_write(config: RunConfig, operator=None):
     write_manifest(result, diag, config, out_dir / "manifest.json")
     speed = diag.get("speed")
     speed_txt = "n/a" if speed is None else f"{speed:+.5f}"
-    print(f"wrote {out_dir}/snapshots.csv and manifest.json "
-          f"(alpha={config.alpha:g} theta={config.theta:g} a={config.a:g} "
-          f"T={config.t_final:g}, speed={speed_txt})")
+    return (f"wrote {out_dir}/snapshots.csv and manifest.json "
+            f"(alpha={config.alpha:g} theta={config.theta:g} a={config.a:g} "
+            f"T={config.t_final:g}, speed={speed_txt})")
 
 
 def _cmd_apply(parser, args) -> int:
@@ -167,16 +181,81 @@ def _cmd_sweep(parser, args) -> int:
             raise
     # the loops run a innermost, so configurations sharing (alpha, theta)
     # are consecutive and share one operator and its cached solver
-    operator, key = None, None
-    for config in configs:
-        if (config.alpha, config.theta) != key:
-            operator = None   # release the old solver before the next is built
-            params, grid, *_ = config.validated()
-            operator = assemble_operator_matrix(grid, params,
-                                                config.tail_correction)
-            key = (config.alpha, config.theta)
-        _run_and_write(config, operator)
+    groups = [list(group) for _, group in
+              itertools.groupby(configs, lambda c: (c.alpha, c.theta))]
+    workers = _sweep_workers(len(groups), configs[0].n)
+    if workers > 1:
+        _run_groups_in_workers(groups, workers)
+        return 0
+    for group in groups:
+        # rebinding frees the last group's solver before this one's is built
+        operator = _group_operator(group[0])
+        for config in group:
+            print(_run_and_write(config, operator))
     return 0
+
+
+def _group_operator(config: RunConfig):
+    """The operator of ``config``'s (alpha, theta); its solver is built lazily."""
+    params, grid, *_ = config.validated()
+    return assemble_operator_matrix(grid, params, config.tail_correction)
+
+
+def _sweep_workers(groups: int, n: int) -> int:
+    """How many processes run a sweep's groups (see the module docstring).
+
+    Workers are forked, so they start with the modules already imported;
+    where fork or the CPU affinity is unavailable the sweep runs in-process.
+    """
+    if n <= DENSE_INVERSE_MAX_N or not hasattr(os, "sched_getaffinity"):
+        return 1
+    import multiprocessing   # here only: a serial run never pays its import
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    return min(groups, len(os.sched_getaffinity(0))) if fork else 1
+
+
+def _run_group(group: list, operator) -> tuple[list, Exception | None]:
+    """A worker's task: the summary lines of the configurations of ``group``
+    that ran, and the error that stopped the rest (None if none did)."""
+    lines = []
+    try:
+        for config in group:
+            lines.append(_run_and_write(config, operator))
+    except (FracfrontError, OSError) as exc:
+        return lines, exc
+    return lines, None
+
+
+def _run_groups_in_workers(groups: list, workers: int) -> None:
+    """Run each group in a forked worker; print the lines in configuration order.
+
+    The first error in configuration order is raised once the lines before
+    it are printed.  Groups a worker has already taken still finish; the
+    others are cancelled.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(workers,
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(_run_group, group, _group_operator(group[0]))
+                   for group in groups]
+        for group, future in zip(groups, futures):
+            try:
+                lines, error = future.result()
+            except BrokenProcessPool as exc:
+                raise FracfrontError(
+                    f"sweep group alpha={group[0].alpha:g} "
+                    f"theta={group[0].theta:g}: a worker process ended "
+                    f"abruptly") from exc
+            for line in lines:
+                print(line)
+            if error is not None:
+                raise error
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def float_list(text: str) -> list[float]:

@@ -206,17 +206,19 @@ def estimate_decay_rate(result: SimulationResult,
     """Exponential-decay fit of the shift-matched residual history.
 
     The residual of each snapshot against ``reference`` (default: the final
-    snapshot) is fitted as log r = log K - kappa t over the window where
-    r lies in [1e-10, 1e-1].  Raises ``InsufficientDecayError`` when fewer
-    than two residuals fall in that window.
+    snapshot, whose own residual is then 0 and not computed) is fitted as
+    log r = log K - kappa t over the window where r lies in [1e-10, 1e-1].
+    Raises ``InsufficientDecayError`` when fewer than two residuals fall in
+    that window.
     """
     if len(result.times) < 6:
         raise OutOfRangeError("decay fit needs at least 6 snapshots")
-    if reference is None:
-        reference = result.final
+    states, own = result.states, []
+    if reference is None:   # the final snapshot matches itself exactly
+        states, reference, own = states[:-1], result.final, [0.0]
     residuals = np.array([
         shift_matched_residual(state, reference, result.grid)[0]
-        for state in result.states])
+        for state in states] + own)
     mask = (residuals >= 1e-10) & (residuals <= 1e-1)
     if np.count_nonzero(mask) < 2:
         raise InsufficientDecayError(

@@ -299,6 +299,44 @@ class TestDecayEstimate:
         assert report.decay_rate == pytest.approx(kappa, rel=0.05)
         assert report.r_squared >= 0.99
 
+    @pytest.mark.parametrize("given_reference", [False, True])
+    def test_final_snapshot_is_not_matched_against_itself(self, monkeypatch,
+                                                          given_reference):
+        calls = []
+
+        def counting(u1, u2, grid):
+            calls.append(u1)
+            return shift_matched_residual(u1, u2, grid)
+
+        monkeypatch.setattr("fracfront.diagnostics.shift_matched_residual",
+                            counting)
+        g = Grid1D(30.0, 181)
+        base = 1.0 / (1.0 + np.exp(-g.x))
+        times = np.linspace(0.0, 12.0, 25)
+        states = np.array([base + 0.05 * np.exp(-0.8 * t) * np.exp(-g.x ** 2)
+                           for t in times])
+        report = estimate_decay_rate(_fake_result(g, times, states),
+                                     reference=base if given_reference else None)
+        assert len(calls) == (25 if given_reference else 24)
+        assert (report.residuals[-1] == 0.0) != given_reference
+
+    # test_08's run, then the runs whose decay fits demos 02 and 06 print
+    @pytest.mark.parametrize("alpha,a,ic,dt,t_final", [
+        (1.8, 0.5, "chen", 0.02, 20.0), (1.8, 0.6, "chen", 0.02, 20.0),
+        (1.8, 0.5, "step", 0.005, 2.0), (1.2, 0.5, "step", 0.005, 2.0),
+        (1.01, 0.5, "step", 0.005, 2.0)])
+    def test_residuals_equal_a_scan_of_every_snapshot(self, alpha, a, ic, dt,
+                                                      t_final):
+        g = Grid1D(30.0, 181)
+        u0 = chen_ramp(g.x) if ic == "chen" else step_profile(g.x, 0.49, 1.51)
+        res = integrate(u0, make_schedule(t_final, 41),
+                        StepperConfig(method="semi-implicit", dt=dt), g,
+                        FractionalParams(alpha, 0.1), BistableCubic(a))
+        every = np.array([shift_matched_residual(state, res.final, g)[0]
+                          for state in res.states])
+        assert every[-1] == 0.0
+        assert estimate_decay_rate(res).residuals.tobytes() == every.tobytes()
+
 
 class TestStepRelaxation:
     """Discontinuous initial data above the stable band relax back toward it."""

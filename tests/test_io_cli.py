@@ -3,8 +3,10 @@ import contextlib
 import dataclasses
 import inspect
 import io
+import itertools
 import json
 import os
+import pickle
 import re
 import string
 import subprocess
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 import fracfront
 from fracfront import (
+    DivergedError,
     FractionalParams,
     OutOfRangeError,
     RunConfig,
@@ -669,6 +672,146 @@ _FIELD_VALUES = {
 }
 _BASE_VALUES = {"alpha": "1.5", "theta": "0", "n": "21", "b": "5",
                 "t_final": "0.1", "dt": "0.05", "snapshots": "2"}
+
+
+def _record_pid(monkeypatch):
+    """Make every run record the pid of the process it ran in."""
+    def run(config, operator=None):
+        result, diag = run_simulation(config, operator)
+        return result, {**diag, "pid": os.getpid()}
+    # workers are forked, so they inherit the patched module attribute
+    monkeypatch.setattr("fracfront.cli.run_simulation", run)
+
+
+def _cpus(monkeypatch, count):
+    """Let this process run on ``count`` CPUs, whatever the host has."""
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+class TestParallelSweep:
+    """Above ``DENSE_INVERSE_MAX_N`` a sweep runs its (alpha, theta) groups in
+    forked workers; the outputs and the printed lines are those of a serial run."""
+
+    THETAS, A_LIST = ("-0.1", "0.1"), ("0.4", "0.6")
+    FLAGS = ["--b", "10", "--t-final", "0.5", "--dt", "0.05", "--snapshots", "6"]
+    TIMING = ("wall_time_s", "solver_setup_s")
+
+    def _sweep(self, out, n=1001):
+        return main(["sweep", "--alphas", "1.5",
+                     f"--thetas={','.join(self.THETAS)}",
+                     "--a-list", ",".join(self.A_LIST), "--n", str(n),
+                     *self.FLAGS, "--out", str(out)])
+
+    def _labels(self):
+        return [f"alpha1.5_theta{theta}_a{a}"
+                for theta in self.THETAS for a in self.A_LIST]
+
+    def _manifest(self, run_dir):
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        for key in self.TIMING:
+            del manifest["stats"][key]
+        return manifest
+
+    def test_groups_run_in_workers_as_lone_runs_would(self, tmp_path, capsys,
+                                                      monkeypatch):
+        _cpus(monkeypatch, 2)
+        _record_pid(monkeypatch)
+        out = tmp_path / "sw"
+        assert self._sweep(out) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [line for line in lines if line.startswith("wrote ")]
+        assert [line.split()[1] for line in lines] == [
+            f"{out / label}/snapshots.csv" for label in self._labels()]
+        swept = tmp_path / "swept"
+        out.rename(swept)
+        pids = set()
+        for theta, a in itertools.product(self.THETAS, self.A_LIST):
+            label = f"alpha1.5_theta{theta}_a{a}"
+            assert main(["simulate", "--alpha", "1.5", f"--theta={theta}",
+                         "--a", a, "--n", "1001", *self.FLAGS,
+                         "--out", str(out / label)]) == 0
+            assert ((swept / label / "snapshots.csv").read_bytes()
+                    == (out / label / "snapshots.csv").read_bytes())
+            parallel, alone = self._manifest(swept / label), self._manifest(out / label)
+            pids.add(parallel["diagnostics"].pop("pid"))
+            assert alone["diagnostics"].pop("pid") == os.getpid()
+            assert parallel == alone
+        assert os.getpid() not in pids
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("n,cpus", [(61, None), (1001, 1)])
+    def test_small_grids_and_one_cpu_run_in_process(self, tmp_path, capsys,
+                                                    monkeypatch, n, cpus):
+        _record_pid(monkeypatch)
+        if cpus is not None:
+            _cpus(monkeypatch, cpus)
+        assert self._sweep(tmp_path, n) == 0
+        for label in self._labels():
+            manifest = json.loads((tmp_path / label / "manifest.json").read_text())
+            assert manifest["diagnostics"]["pid"] == os.getpid()
+        assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+class TestParallelSweepErrors:
+    """A worker's error exits as the serial sweep's does; a worker that dies
+    exits 1 naming its (alpha, theta) group."""
+
+    def _fail_one(self, how, tmp_path, monkeypatch):
+        # the last configuration fails, after the three before it ran
+        last = tmp_path / "alpha1.5_theta0.1_a0.6"
+        if how == "blocked-output":
+            last.write_text("a file where the run directory goes\n")
+            return
+
+        def run(config, operator=None):
+            if Path(config.out) == last:
+                raise DivergedError("solution diverged (test)")
+            return run_simulation(config, operator)
+        monkeypatch.setattr("fracfront.cli.run_simulation", run)
+
+    @pytest.mark.parametrize("how", ["blocked-output", "diverged"])
+    def test_worker_error_exits_as_serial(self, tmp_path, capfd, monkeypatch,
+                                          how):
+        sweep = TestParallelSweep()
+        outcomes = []
+        for cpus in (2, 1):
+            out = tmp_path / f"cpus{cpus}"
+            out.mkdir()
+            self._fail_one(how, out, monkeypatch)
+            _cpus(monkeypatch, cpus)
+            rc = sweep._sweep(out)
+            captured = capfd.readouterr()
+            outcomes.append((rc, captured.out.replace(str(out), "OUT"),
+                             captured.err.replace(str(out), "OUT")))
+        parallel, serial = outcomes
+        assert parallel == serial
+        rc, out, err = parallel
+        assert rc == 1 and len(out.splitlines()) == 3
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_dead_worker_exits_1_naming_its_group(self, tmp_path, capfd,
+                                                  monkeypatch):
+        caller = os.getpid()
+
+        def die(config, operator=None):
+            if os.getpid() == caller:   # never end the test process itself
+                raise AssertionError("the sweep ran in the caller's process")
+            os._exit(3)
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr("fracfront.cli.run_simulation", die)
+        assert TestParallelSweep()._sweep(tmp_path) == 1
+        captured = capfd.readouterr()
+        assert captured.err.startswith(
+            "error: sweep group alpha=1.5 theta=-0.1: a worker process ended")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_out_of_range_error_pickles_with_its_param(self):
+        exc = pickle.loads(pickle.dumps(OutOfRangeError("too large", "dt")))
+        assert type(exc) is OutOfRangeError
+        assert (str(exc), exc.param) == ("too large", "dt")
 
 
 class TestRunConfigFlags:
