@@ -14,11 +14,14 @@ where ``I[phi] = int_0^inf phi(xi) xi^(-1-alpha) dxi`` and
 
 Each grid backend is one Toeplitz stencil, an ``OperatorMatrix``: weights
 ``K[d]`` for the offsets ``|d| <= M`` plus the weight landing beyond the M
-ghost values, which folds onto the boundary nodes.  Its apply is one FFT
-correlation of the ghost-extended state, O(n log n).  The implicit step
-solves with ``I - dt*A``: by a dense inverse at ``n <= DENSE_INVERSE_MAX_N``,
-the only place the dense matrix is built, and above it by a
-``ToeplitzSolver`` in O(n log n) per step with no n x n array.  The adaptive
+ghost values, which folds onto the boundary nodes.  Under projection
+ghosts all weight past an edge lands on that boundary node, so the apply is
+one FFT correlation of the n nodal values, wrap-free at the smallest
+5-smooth length >= n + M, plus one edge column: O(n log n).  The implicit
+step solves with ``I - dt*A``: by a dense inverse at
+``n <= DENSE_INVERSE_MAX_N``, the only place the dense matrix is built, and
+above it by a ``ToeplitzSolver`` in O(n log n) per step with no n x n array,
+its transforms at the smallest 5-smooth length >= 2n - 1.  The adaptive
 stepper is matrix-free.  The stencils:
 
 * ``assemble_operator_matrix``: the primary scheme, and the one place that
@@ -34,7 +37,7 @@ stepper is matrix-free.  The stencils:
   adds the closed-form contribution of (b, inf) assuming the profile is
   constant beyond the domain.  ``apply_riesz_feller`` applies it to a
   profile.
-* ``grunwald_letnikov_apply``: shifted Grunwald-Letnikov differences,
+* ``grunwald_letnikov_operator``: shifted Grunwald-Letnikov differences,
   normalized by ``-1/(2 cos(alpha pi/2))`` so that the two-sided sum
   discretizes the symmetric (theta = 0) operator.  Cross-check backend.
 
@@ -63,8 +66,9 @@ from .grids import FractionalParams, Grid1D, quadrature_nodes_weights, validate_
 # a callable is evaluated at the off-grid coordinates (testing / free space).
 GhostPolicy = Union[str, Callable[[np.ndarray], np.ndarray]]
 
-# Largest n whose implicit solver is the dense inverse; above it the O(n log n)
-# Toeplitz solve is faster than the dense mat-vec (measured crossover)
+# Largest n whose implicit solver is the dense inverse.  At 5-smooth FFT
+# lengths the O(n log n) Toeplitz solve matches the dense mat-vec per step
+# near n = 1000 and beats it above; its setup beats the inverse from n = 800
 DENSE_INVERSE_MAX_N = 1000
 
 
@@ -91,19 +95,17 @@ def quadrature_coefficients(params: FractionalParams) -> tuple[float, float]:
     return c1, c2
 
 
-def _extend(u: np.ndarray, grid: Grid1D, ghosts: GhostPolicy, m: int) -> np.ndarray:
-    """State extended by m ghost values on each side."""
-    if ghosts == "projection":
-        left = np.full(m, u[0])
-        right = np.full(m, u[-1])
-    elif callable(ghosts):
-        left = np.asarray(ghosts(grid.x[0] - grid.h * np.arange(m, 0, -1)),
-                          dtype=float)
-        right = np.asarray(ghosts(grid.x[-1] + grid.h * np.arange(1, m + 1)),
-                           dtype=float)
-    else:
-        raise UnsupportedError(f"unknown ghost policy: {ghosts!r}")
-    return np.concatenate([left, u, right])
+def _fft_size(k: int) -> int:
+    """Smallest 2^i 3^j 5^l >= k: the shortest fast transform length."""
+    best = 1 << max(k - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-k // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 @dataclass(eq=False)
@@ -114,9 +116,13 @@ class OperatorMatrix:
     (M < n; the centre entry is zero); ``far`` is the (left, right) weight
     landing beyond the M ghost values, which folds onto the boundary nodes.
     The diagonal is ``-row_sum``, so rows sum to zero and constants are
-    annihilated.  ``matvec`` applies the operator by FFT in O(n log n);
-    ``entries`` is the dense matrix under projection ghosts, built afresh
-    on each access, and ``entries @ u`` equals ``matvec(u)`` to roundoff.
+    annihilated.  ``matvec`` applies the operator in O(n log n): the
+    correlation of the n nodal values with the stencil, by FFT at the
+    smallest 5-smooth length >= n + M, plus the projection ghosts folded
+    into one cached edge column (``_folds``, which the dense matrix and the
+    Toeplitz solver share).  ``entries`` is the dense matrix under
+    projection ghosts, built afresh on each access, and ``entries @ u``
+    equals ``matvec(u)`` to roundoff.
     The solver of ``I - dt*entries`` is cached for the latest dt only, for
     implicit stepping.  At ``n <= DENSE_INVERSE_MAX_N`` it is the dense
     inverse, the only n x n array the operator keeps; above it, a
@@ -134,25 +140,55 @@ class OperatorMatrix:
         return float(np.sum(self.weights)) + self.far[0] + self.far[1]
 
     @cached_property
+    def _folds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, the (left, right) weight landing beyond the domain edge.
+
+        Under projection ghosts these fold onto the boundary nodes: the far
+        weight plus, on the M rows nearest that edge, the cumsum of the
+        kernel weights past it.
+        """
+        m = len(self.weights) // 2
+        pad = np.zeros(self.grid.n - m)
+        left = np.concatenate([np.cumsum(self.weights[:m])[::-1], pad])
+        right = np.concatenate([pad, np.cumsum(self.weights[:m:-1])])
+        return self.far[0] + left, self.far[1] + right
+
+    @cached_property
+    def _size(self) -> int:
+        # outputs 0..n-1 of the length-n state's correlation with the
+        # 2M+1 stencil do not wrap at n + M points
+        return _fft_size(self.grid.n + len(self.weights) // 2)
+
+    @cached_property
     def _spectrum(self) -> np.ndarray:
-        # the correlation's valid part does not wrap once the transform
-        # covers the ghost-extended state
-        size = 1 << (self.grid.n + len(self.weights) - 2).bit_length()
-        return np.fft.rfft(self.weights[::-1], size)
+        # the whole row, its diagonal -row_sum included
+        row = self.weights.copy()
+        row[len(row) // 2] -= self.row_sum
+        return np.fft.rfft(row[::-1], self._size)
 
     def matvec(self, u: np.ndarray,
                ghosts: GhostPolicy = "projection") -> np.ndarray:
         """Apply the operator to ``u``, off-grid values set by ``ghosts``.
 
-        Works on ``u - u[0]``, so a constant maps to exactly zero.
+        Works on ``w = u - u[0]``, so a constant maps to exactly zero.  The
+        row, diagonal included, correlates ``w`` alone; the projection
+        ghosts, all equal to ``w[-1]`` on the right and to 0 on the left,
+        enter as the right fold column times ``w[-1]``.  A callable policy
+        adds the correlation of its deviation from those ghost values.
         """
-        m = len(self.weights) // 2
-        size = 2 * (len(self._spectrum) - 1)
-        we = _extend(u, self.grid, ghosts, m) - u[0]
-        w = we[m:m + self.grid.n]
-        corr = np.fft.irfft(np.fft.rfft(we, size) * self._spectrum, size)
-        return (corr[2 * m:2 * m + self.grid.n] + self.far[1] * w[-1]
-                - self.row_sum * w)
+        if not (callable(ghosts) or ghosts == "projection"):
+            raise UnsupportedError(f"unknown ghost policy: {ghosts!r}")
+        n, m, size = self.grid.n, len(self.weights) // 2, self._size
+        w = u - u[0]
+        v = np.fft.irfft(np.fft.rfft(w, size) * self._spectrum, size)[m:m + n]
+        v += self._folds[1] * w[-1]
+        if callable(ghosts):
+            steps = self.grid.h * np.arange(1, m + 1)
+            left = np.asarray(ghosts(self.grid.x[0] - steps[::-1]), dtype=float)
+            right = np.asarray(ghosts(self.grid.x[-1] + steps), dtype=float)
+            dev = np.concatenate([left - u[0], np.zeros(n), right - u[-1]])
+            v += np.correlate(dev, self.weights, "valid")
+        return v
 
     @property
     def entries(self) -> np.ndarray:
@@ -160,10 +196,8 @@ class OperatorMatrix:
         n = self.grid.n
         k = np.pad(self.weights, n - 1 - len(self.weights) // 2)  # 1-n..n-1
         A = np.lib.stride_tricks.sliding_window_view(k, n)[::-1].copy()
-        # the edge columns take all weight at or beyond the edge: cumulative
-        # sums of the kernel from either end, plus the far weight
-        A[:, 0] = self.far[0] + np.cumsum(k)[n - 1::-1]
-        A[:, -1] = self.far[1] + np.cumsum(k[::-1])[:n]
+        A[:, 0] += self._folds[0]
+        A[:, -1] += self._folds[1]
         A[np.diag_indices(n)] -= self.row_sum
         return A
 
@@ -224,7 +258,8 @@ class ToeplitzSolver:
         col = -dt * k[n - 1::-1]   # T[i, 0], i = 0..n-1
         row = -dt * k[n - 1:]      # T[0, j], j = 0..n-1
         col[0] = row[0] = 1.0 + dt * op.row_sum
-        self._n, self._size = n, 1 << (2 * n - 2).bit_length()
+        # the triangular products are wrap-free at 2n - 1 points
+        self._n, self._size = n, _fft_size(2 * n - 1)
         f, g = self._levinson(col, row)
         self._set_generators(f, g)
         # one step of iterative refinement: Levinson leaves errors of about
@@ -232,13 +267,9 @@ class ToeplitzSolver:
         res = -self._toeplitz_times(col, row, np.stack([f, g], axis=1))
         res[0, 0] += 1.0
         res[-1, 1] += 1.0
-        self._set_generators(f + self._apply_t(res[:, 0]),
-                             g + self._apply_t(res[:, 1]))
-        # the folds: weight beyond the edge, (far plus kernel cumsums) x -dt
-        fold0 = op.far[0] + np.concatenate([np.cumsum(k)[n - 2::-1], [0.0]])
-        fold1 = op.far[1] + np.concatenate([[0.0], np.cumsum(k[::-1])[:n - 1]])
-        z = np.stack([self._apply_t(-dt * fold0), self._apply_t(-dt * fold1)],
-                     axis=1)
+        df, dg = self._apply_t(res.T)
+        self._set_generators(f + df, g + dg)
+        z = self._apply_t(-dt * np.stack(op._folds)).T
         cap = np.eye(2) + z[[0, -1]]   # I + V^T T^-1 U, V = [e_0, e_(n-1)]
         det = cap[0, 0] * cap[1, 1] - cap[0, 1] * cap[1, 0]
         if det == 0.0 or not np.isfinite(det):
@@ -249,10 +280,11 @@ class ToeplitzSolver:
     def _set_generators(self, f: np.ndarray, g: np.ndarray):
         """Spectra of the Gohberg-Semencul factors of f and g."""
         spec = lambda v: np.fft.rfft(v, self._size)
-        # U(rev g) and U(S rev f) act as correlations, hence the conjugates
-        self._upper = (np.conj(spec(g[::-1])),
-                       np.conj(spec(np.concatenate([[0.0], f[:0:-1]]))))
-        self._lower = (spec(f / f[0]), spec(np.concatenate([[0.0], g[:-1]]) / f[0]))
+        # U(rev g) and U(S rev f) act as correlations, hence the conjugates;
+        # the lower factors are stacked with the formula's signs
+        self._upper = np.conj(spec(np.stack([g[::-1],
+                                             np.concatenate([[0.0], f[:0:-1]])])))
+        self._lower = spec(np.stack([f, -np.concatenate([[0.0], g[:-1]])]) / f[0])
 
     @staticmethod
     def _toeplitz_times(col: np.ndarray, row: np.ndarray, v: np.ndarray):
@@ -286,13 +318,15 @@ class ToeplitzSolver:
         return f, g
 
     def _apply_t(self, r: np.ndarray) -> np.ndarray:
-        """T^-1 r by the Gohberg-Semencul formula."""
+        """T^-1 r by the Gohberg-Semencul formula, for each row of ``r``.
+
+        The two inner round trips run as one transform of a stacked pair.
+        """
         n, size = self._n, self._size
-        spectrum = np.fft.rfft(r, size)
-        inner = [np.fft.rfft(np.fft.irfft(spectrum * u, size)[:n], size)
-                 for u in self._upper]
-        return np.fft.irfft(self._lower[0] * inner[0] - self._lower[1] * inner[1],
-                            size)[:n]
+        spectrum = np.fft.rfft(r, size)[..., None, :]
+        inner = np.fft.rfft(np.fft.irfft(spectrum * self._upper, size)[..., :n],
+                            size)
+        return np.fft.irfft((self._lower * inner).sum(axis=-2), size)[..., :n]
 
     def __matmul__(self, rhs: np.ndarray) -> np.ndarray:
         """The solution x of ``(I - dt*A) x = rhs``."""
@@ -382,24 +416,23 @@ def grunwald_letnikov_weights(alpha: float, count: int) -> np.ndarray:
     return np.cumprod(np.concatenate([[1.0], (r - 1.0 - alpha) / r]))
 
 
-def grunwald_letnikov_apply(u: np.ndarray, grid: Grid1D, alpha: float) -> np.ndarray:
+def grunwald_letnikov_operator(grid: Grid1D, alpha: float) -> OperatorMatrix:
     """Symmetric (theta = 0) operator via shifted Grunwald-Letnikov sums.
 
     The one-sided fractional-difference sums are combined as
     ``-1/(2 cos(alpha pi/2)) * (left + right) / h^alpha`` with projection
-    ghosts, so offset ``d`` weighs ``g_(1-d) [d <= 1] + g_(d+1) [d >= -1]``.
-    The weight tails beyond the domain are completed against the boundary
-    values (the weights sum to zero over 0..inf, so a flat far field
-    contributes exactly the negated partial sums); without this the
-    truncated sums leave an O(b^-alpha) defect on constants that no grid
-    refinement removes.  Independent of the quadrature backend;
+    ghosts, so offset ``d`` weighs ``g_(1-d) [d <= 1] + g_(d+1) [d >= -1]``
+    for ``|d| <= n - 1``.  The weight tails beyond the domain are completed
+    against the boundary values (the weights sum to zero over 0..inf, so a
+    flat far field contributes exactly the negated partial sums); without
+    this the truncated sums leave an O(b^-alpha) defect on constants that
+    no grid refinement removes.  Independent of the quadrature backend;
     first-order accurate in h.
     """
     alpha = float(alpha)
     if not 1.0 < alpha < 2.0:
         raise UnsupportedError(
             f"Grunwald-Letnikov backend requires 1 < alpha < 2, got {alpha}")
-    u = validate_state(u, grid)
     n = grid.n
     norm = -1.0 / (2.0 * math.cos(alpha * math.pi / 2))
     g = grunwald_letnikov_weights(alpha, n + 1) * (norm / grid.h ** alpha)
@@ -408,7 +441,13 @@ def grunwald_letnikov_apply(u: np.ndarray, grid: Grid1D, alpha: float) -> np.nda
     weights[n - 2:] += g           # right sums: offset d >= -1 weighs g_(d+1)
     weights[n - 1] = 0.0
     far = -float(np.sum(g))        # g_r for r > n, on either side
-    return OperatorMatrix(grid, weights, (far, far)).matvec(u)
+    return OperatorMatrix(grid, weights, (far, far))
+
+
+def grunwald_letnikov_apply(u: np.ndarray, grid: Grid1D, alpha: float) -> np.ndarray:
+    """Apply ``grunwald_letnikov_operator(grid, alpha)`` to ``u``."""
+    op = grunwald_letnikov_operator(grid, alpha)
+    return op.matvec(validate_state(u, grid))
 
 
 def spectral_apply(u: np.ndarray, period: float, params: FractionalParams) -> np.ndarray:

@@ -13,7 +13,9 @@ Two steppers, named in ``METHODS``:
   and its setup time.
 * ``rk-adaptive``: explicit embedded Dormand-Prince 5(4) pair with the
   standard safety-factored step controller.  Matrix-free: its right-hand
-  side applies the operator's stencil by FFT.  First-same-as-last: a run
+  side is ``OperatorMatrix.matvec``, one FFT correlation of the state at
+  the smallest 5-smooth length >= n + M with the projection ghosts folded
+  into an edge column.  First-same-as-last: a run
   evaluates the right-hand side 6 times per trial step, plus once.
 
 ``integrate`` drives either of them through a snapshot schedule, landing on

@@ -22,7 +22,12 @@ from fracfront import (
     riesz_feller_symbol,
     spectral_apply,
 )
-from fracfront.operators import DENSE_INVERSE_MAX_N, ToeplitzSolver
+from fracfront.operators import (
+    DENSE_INVERSE_MAX_N,
+    ToeplitzSolver,
+    _fft_size,
+    grunwald_letnikov_operator,
+)
 from fracfront.selftest import admissible_lattice
 
 GAUSS = lambda x: np.exp(-x ** 2)
@@ -317,6 +322,84 @@ class TestStencilProperties:
         assert np.all(apply_riesz_feller(u, grid, p, tail_correction=tail) == 0.0)
 
 
+def _stencil_brute_force(op, u, ghosts):
+    """Row by row from the stencil's definition: value differences over the
+    window of offsets |d| <= M, ghosts off the grid, and the far weights
+    against the boundary values."""
+    n, m = op.grid.n, len(op.weights) // 2
+    j = np.arange(-m, n + m)
+    ext = np.where((j >= 0) & (j < n), np.pad(u, m),
+                   ghosts(op.grid.x[0] + op.grid.h * j))
+    return np.array([op.weights @ (ext[i:i + 2 * m + 1] - u[i])
+                     + op.far[0] * (u[0] - u[i]) + op.far[1] * (u[-1] - u[i])
+                     for i in range(n)])
+
+
+def _transform_size(kind, n):
+    """Length of the apply's transform: n + M, M = (n-1)/2, n-1 or 1."""
+    return _fft_size(n + {"quadrature": (n - 1) // 2, "gl": n - 1,
+                          "classical": 1}[kind])
+
+
+@st.composite
+def _stencils(draw):
+    """Quadrature (n >= 5), Grunwald-Letnikov (M = n - 1) or alpha = 2
+    (M = 1) stencils on odd n in 3..401; about half the draws take an n
+    whose transform length is odd."""
+    kind = draw(st.sampled_from(["quadrature", "gl", "classical"]))
+    low = 5 if kind == "quadrature" else 3
+    odd = [n for n in range(low, 402, 2) if _transform_size(kind, n) % 2]
+    n = draw(st.sampled_from(odd) | st.integers(low // 2, 200).map(
+        lambda k: 2 * k + 1))
+    grid = Grid1D(draw(st.floats(1.0, 50.0)), n)
+    alpha = draw(st.floats(1.01, 1.99))
+    if kind == "gl":
+        return kind, grid, None, False, grunwald_letnikov_operator(grid, alpha)
+    if kind == "classical":
+        return kind, grid, CLASSICAL, False, assemble_operator_matrix(grid, CLASSICAL)
+    edge = 2.0 - alpha
+    p = FractionalParams(alpha, draw(st.sampled_from([edge, -edge])
+                                     | st.floats(-edge, edge)))
+    tail = draw(st.booleans())
+    return kind, grid, p, tail, assemble_operator_matrix(grid, p, tail)
+
+
+class TestFftLengths:
+    def test_smallest_five_smooth_length(self):
+        def smooth(k):
+            for q in (2, 3, 5):
+                while k % q == 0:
+                    k //= q
+            return k == 1
+        k, expected = 1, []
+        for length in range(1, 5001):
+            while not smooth(k) or k < length:
+                k += 1
+            expected.append(k)
+        assert [_fft_size(k) for k in range(1, 5001)] == expected
+
+    def test_lengths_at_1601_nodes(self):
+        # n + M = 2401 -> 2430 = 2 3^5 5 and 2n - 1 = 3201 -> 3240 = 2^3 3^4 5
+        A = assemble_operator_matrix(Grid1D(30.0, 1601), FractionalParams(1.7, 0.2))
+        assert A._size == 2430
+        assert len(A._spectrum) == 2430 // 2 + 1
+        assert A.factorization(0.02)._size == 3240
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_stencils())
+    def test_apply_on_every_length(self, stencil):
+        kind, grid, p, tail, A = stencil
+        assert A._size == _transform_size(kind, grid.n)
+        u = np.random.default_rng(grid.n).standard_normal(grid.n)
+        dense = A.entries @ u
+        assert np.max(np.abs(A.matvec(u) - dense)) <= 1e-12 * np.max(np.abs(dense))
+        ghosts = lambda x: np.cos(0.7 * x) + 0.1 * x
+        slow = (_quadrature_brute_force(u, grid, p, ghosts, tail)
+                if kind == "quadrature" else _stencil_brute_force(A, u, ghosts))
+        fast = A.matvec(u, ghosts)
+        assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
+
+
 # ---------------------------------------------------------------------------
 # Toeplitz solver of the implicit step
 # ---------------------------------------------------------------------------
@@ -353,6 +436,17 @@ class TestToeplitzSolver:
             assert np.linalg.det((np.eye(21) - A.entries)[:2, :2]) == 0.0
         with pytest.raises(SingularSystemError):
             ToeplitzSolver(A, 1.0)
+
+    @pytest.mark.parametrize("alpha,theta", [(1.3, -0.5), (1.7, 0.2), (2.0, 0.0)])
+    def test_odd_transform_length(self, alpha, theta):
+        # 2n - 1 = 2025 = 3^4 5^2 is itself the transform length
+        A = assemble_operator_matrix(Grid1D(30.0, 1013), FractionalParams(alpha, theta),
+                                     tail_correction=True)
+        solver = ToeplitzSolver(A, 0.05)
+        assert solver._size == 2025
+        rhs = np.random.default_rng(1013).standard_normal(1013)
+        ref = lu_solve(lu_factor(np.eye(1013) - 0.05 * A.entries), rhs)
+        assert np.max(np.abs(solver @ rhs - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_routing_by_node_count(self):
         small = Grid1D(30.0, (DENSE_INVERSE_MAX_N - 1) | 1)  # largest odd n at
