@@ -8,15 +8,11 @@ application on a saved profile), ``green`` (sample the diffusion kernel),
 Exit codes: 0 success; 1 unreadable input file or runtime failure; 2 bad
 flag, option or config-file value (the message names the flag).
 
-Above ``DENSE_INVERSE_MAX_N`` nodes, ``sweep`` runs its (alpha, theta) groups
-in forked worker processes, one per usable CPU, at most one per group: each
-step there is numpy FFT work on one thread.  At or below it a step is a BLAS
-mat-vec that already spreads over every core, so the sweep stays in-process.
-Workers (about 30 MiB each at n = 1601) print nothing; this process prints
-the summary lines in configuration order.  The first failure in that order
-exits as it would in-process; a worker that dies exits 1 naming its group.
-Groups already handed to a worker still finish.  Python 3.12+ warns when it
-forks a process that has threads, as BLAS starts them.
+Above ``DENSE_INVERSE_MAX_N`` nodes ``sweep`` runs its (alpha, theta)
+groups in forked workers (README): each step there is numpy FFT work on one
+thread, while at or below it a step is a BLAS mat-vec that already spreads
+over every core.  Python 3.12+ warns when it forks a process that has
+threads, as BLAS starts them.
 """
 
 from __future__ import annotations
@@ -183,22 +179,8 @@ def _cmd_sweep(parser, args) -> int:
     # are consecutive and share one operator and its cached solver
     groups = [list(group) for _, group in
               itertools.groupby(configs, lambda c: (c.alpha, c.theta))]
-    workers = _sweep_workers(len(groups), configs[0].n)
-    if workers > 1:
-        _run_groups_in_workers(groups, workers)
-        return 0
-    for group in groups:
-        # rebinding frees the last group's solver before this one's is built
-        operator = _group_operator(group[0])
-        for config in group:
-            print(_run_and_write(config, operator))
+    _run_groups(groups, _sweep_workers(len(groups), configs[0].n))
     return 0
-
-
-def _group_operator(config: RunConfig):
-    """The operator of ``config``'s (alpha, theta); its solver is built lazily."""
-    params, grid, *_ = config.validated()
-    return assemble_operator_matrix(grid, params, config.tail_correction)
 
 
 def _sweep_workers(groups: int, n: int) -> int:
@@ -214,11 +196,14 @@ def _sweep_workers(groups: int, n: int) -> int:
     return min(groups, len(os.sched_getaffinity(0))) if fork else 1
 
 
-def _run_group(group: list, operator) -> tuple[list, Exception | None]:
-    """A worker's task: the summary lines of the configurations of ``group``
-    that ran, and the error that stopped the rest (None if none did)."""
+def _run_group(group: list) -> tuple[list, Exception | None]:
+    """Run ``group`` on one operator of its (alpha, theta): the summary lines
+    of the configurations that ran, and the error that stopped the rest
+    (None if none did)."""
     lines = []
     try:
+        params, grid, *_ = group[0].validated()
+        operator = assemble_operator_matrix(grid, params, group[0].tail_correction)
         for config in group:
             lines.append(_run_and_write(config, operator))
     except (FracfrontError, OSError) as exc:
@@ -226,26 +211,29 @@ def _run_group(group: list, operator) -> tuple[list, Exception | None]:
     return lines, None
 
 
-def _run_groups_in_workers(groups: list, workers: int) -> None:
-    """Run each group in a forked worker; print the lines in configuration order.
+def _run_groups(groups: list, workers: int) -> None:
+    """Run the groups, in forked workers if ``workers > 1``; print each
+    group's lines in configuration order once it is done.
 
     The first error in configuration order is raised once the lines before
-    it are printed.  Groups a worker has already taken still finish; the
-    others are cancelled.
+    it are printed.  In-process, the groups after it never run; groups a
+    worker has already taken still finish, and the others are cancelled.
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    pool = ProcessPoolExecutor(workers,
-                               mp_context=multiprocessing.get_context("fork"))
+    pool, broken, run = None, (), map   # in-process no worker can die
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool as broken
+        pool = ProcessPoolExecutor(workers,
+                                   mp_context=multiprocessing.get_context("fork"))
+        run = pool.map
     try:
-        futures = [pool.submit(_run_group, group, _group_operator(group[0]))
-                   for group in groups]
-        for group, future in zip(groups, futures):
+        # the builtin map is lazy: a group runs only once the last is printed
+        outcomes = run(_run_group, groups)
+        for group in groups:
             try:
-                lines, error = future.result()
-            except BrokenProcessPool as exc:
+                lines, error = next(outcomes)
+            except broken as exc:
                 raise FracfrontError(
                     f"sweep group alpha={group[0].alpha:g} "
                     f"theta={group[0].theta:g}: a worker process ended "
@@ -255,7 +243,8 @@ def _run_groups_in_workers(groups: list, workers: int) -> None:
             if error is not None:
                 raise error
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def float_list(text: str) -> list[float]:

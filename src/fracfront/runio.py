@@ -55,7 +55,6 @@ class RunConfig:
     rel_tol: float = _param("relative tolerance (rk-adaptive)", StepperConfig.rel_tol)
     snapshots: int = _param("number of saved snapshots (including t = 0)", 21)
     tail_correction: bool = _param("add the operator's far-field tail", False)
-    seed: int = _param("seed recorded in the manifest", 0)
     out: Optional[str] = _param("output directory", None)
 
     def validated(self):
@@ -188,7 +187,6 @@ def build_manifest(result: SimulationResult, diagnostics: dict,
         c1 = c2 = None  # classical endpoint
     return {
         "version": __version__,
-        "seed": config.seed,
         "config": dataclasses.asdict(config),
         "derived": {
             "h": result.grid.h,
@@ -202,8 +200,7 @@ def build_manifest(result: SimulationResult, diagnostics: dict,
     }
 
 
-MANIFEST_REQUIRED_KEYS = ("version", "seed", "config", "derived", "stats",
-                          "diagnostics")
+MANIFEST_REQUIRED_KEYS = ("version", "config", "derived", "stats", "diagnostics")
 MANIFEST_DERIVED_KEYS = ("h", "m", "c1", "c2", "potential_gap")
 
 

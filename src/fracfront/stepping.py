@@ -129,6 +129,7 @@ _DP_A = (
 )
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
           187 / 2100, 1 / 40)
+_DP_E = np.subtract(_DP_A[6] + (0.0,), _DP_B4)   # 5th minus 4th order weights
 
 _SAFETY, _FACTOR_MIN, _FACTOR_MAX = 0.9, 0.2, 5.0   # step-size controller
 
@@ -143,23 +144,18 @@ def step_explicit_rk(u, f_u, dt_try, rhs, abs_tol, rel_tol):
     the step is accepted iff it is <= 1, and the next step size follows the
     safety-factored power law with the growth factor clamped to [0.2, 5].
     """
-    k = [f_u]
+    k = np.empty((7, u.size))   # the stages, k[0] = f_u
+    k[0] = f_u
     for i in range(1, 7):
-        ui = u
-        for aij, kj in zip(_DP_A[i], k):
-            if aij:
-                ui = ui + dt_try * aij * kj
-        k.append(rhs(ui))
-    err_vec = np.zeros_like(u)
-    for b5, b4, kj in zip(_DP_A[6] + (0.0,), _DP_B4, k):
-        if b5 != b4:
-            err_vec = err_vec + dt_try * (b5 - b4) * kj
+        ui = u + dt_try * np.dot(_DP_A[i], k[:i])
+        k[i] = rhs(ui)
+    err_vec = dt_try * (_DP_E @ k)
     err = float(np.max(np.abs(err_vec) / (abs_tol + rel_tol * np.abs(u))))
     factor = (_FACTOR_MAX if err == 0.0
               else min(_FACTOR_MAX, max(_FACTOR_MIN, _SAFETY * err ** -0.2)))
     accepted = err <= 1.0
     if accepted:
-        u, f_u = ui, k[6]
+        u, f_u = ui, k[6].copy()   # a view would keep all 7 stages alive
     return u, f_u, dt_try * factor, accepted
 
 

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import gc
 import inspect
 import io
 import itertools
@@ -12,6 +13,7 @@ import string
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -134,7 +136,6 @@ class TestManifest:
         write_manifest(result, diag, config, path)
         m = json.loads(path.read_text())
         assert m["version"]
-        assert m["seed"] == 0
         assert m["config"]["alpha"] == 1.8
         assert m["derived"]["m"] == 30
         assert m["derived"]["c1"] == pytest.approx(0.08348024981186786, abs=1e-12)
@@ -332,29 +333,32 @@ class TestCLI:
         assert out["decay_rate"] is None and out["decay_r_squared"] is None
         assert out["speed"] < 0
 
-    def test_sweep_layout_and_shared_seed(self, tmp_path, capsys):
+    def test_sweep_layout(self, tmp_path, capsys):
         rc = main(["sweep", "--alphas", "1.5", "--thetas=-0.1,0.1",
                    "--a-list", "0.5", "--n", "61", "--b", "10",
                    "--t-final", "0.5", "--dt", "0.05", "--snapshots", "3",
-                   "--seed", "7", "--out", str(tmp_path / "sw")])
+                   "--out", str(tmp_path / "sw")])
         assert rc == 0
         dirs = sorted(p.name for p in (tmp_path / "sw").iterdir())
         assert dirs == ["alpha1.5_theta-0.1_a0.5", "alpha1.5_theta0.1_a0.5"]
-        thetas, seeds = set(), set()
+        thetas = set()
         for d in dirs:
             m = json.loads((tmp_path / "sw" / d / "manifest.json").read_text())
             thetas.add(m["config"]["theta"])
-            seeds.add(m["seed"])
         assert thetas == {-0.1, 0.1}
-        assert seeds == {7}
 
     def test_sweep_builds_one_operator_per_pair(self, tmp_path, capsys,
                                                  monkeypatch):
-        built = []
+        built, alive = [], []
 
         def counting(*args, **kwargs):
+            # a group's operator and solver are freed before the next is built
+            gc.collect()
+            assert [ref() for ref in alive] == [None] * len(alive)
             built.append(args[1])
-            return assemble_operator_matrix(*args, **kwargs)
+            operator = assemble_operator_matrix(*args, **kwargs)
+            alive.append(weakref.ref(operator))
+            return operator
 
         for module in ("fracfront.cli", "fracfront.stepping"):
             monkeypatch.setattr(f"{module}.assemble_operator_matrix", counting)
@@ -668,7 +672,6 @@ _FIELD_VALUES = {
     "t_final": "0.2", "ic": "step", "step_lo": "0.3", "step_hi": "1.2",
     "stepper": "rk-adaptive", "dt": "0.025", "abs_tol": "1e-05",
     "rel_tol": "1e-05", "snapshots": "3", "tail_correction": "true",
-    "seed": "7",
 }
 _BASE_VALUES = {"alpha": "1.5", "theta": "0", "n": "21", "b": "5",
                 "t_final": "0.1", "dt": "0.05", "snapshots": "2"}
@@ -901,10 +904,11 @@ class TestRunConfigFlags:
 
 
 def test_import_loads_no_scipy():
-    """The library and its CLI run on numpy alone."""
+    """The library and its CLI run on numpy alone, and the CLI imports the
+    worker-pool modules only when a sweep forks workers."""
     code = ("import sys, fracfront, fracfront.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'multiprocessing') or m.startswith('concurrent.futures')))")
     src = str(Path(fracfront.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -945,9 +949,8 @@ _REJECTED = {
     "--abs-tol": _NONPOSITIVE,
     "--rel-tol": _NONPOSITIVE,
     "--snapshots": st.integers(-50, 0),
-    "--seed": st.nothing(),
 }
-_INT_FLAGS = ("--n", "--snapshots", "--seed")
+_INT_FLAGS = ("--n", "--snapshots")
 
 
 def _rejected_values(flag):
