@@ -3,7 +3,7 @@
 Front positions are tracked at the unstable threshold ``a`` by default: that
 crossing is the dynamically meaningful interface (it coincides with 0.5 only
 in the balanced case).  Speed fits use the last half of the snapshots to
-skip the initial transient.  Shift matching refines between its scan rows.
+skip the initial transient.
 """
 
 from __future__ import annotations
@@ -86,6 +86,13 @@ def front_position(u: np.ndarray, grid: Grid1D, level: float) -> float:
     return float(crossings[np.argmin(np.abs(crossings))])
 
 
+def _fit_line(ts: np.ndarray, ys: np.ndarray):
+    """Least-squares ``ys ~ slope * ts + intercept``: slope, intercept, residuals."""
+    design = np.vstack([ts, np.ones_like(ts)]).T
+    (slope, intercept), *_ = np.linalg.lstsq(design, ys, rcond=None)
+    return slope, intercept, ys - design @ [slope, intercept]
+
+
 @dataclass
 class SpeedEstimate:
     speed: float
@@ -112,9 +119,7 @@ def estimate_speed(result: SimulationResult, level: Optional[float] = None,
                               "snapshots" if len(result.times) < 4 else "fit_window")
     fronts = np.array([front_position(result.states[k], result.grid, level)
                        for k in range(k0, len(result.times))])
-    design = np.vstack([ts, np.ones_like(ts)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, fronts, rcond=None)
-    resid = fronts - design @ [slope, intercept]
+    slope, intercept, resid = _fit_line(ts, fronts)
     return SpeedEstimate(
         speed=float(slope), intercept=float(intercept),
         residual=float(np.sqrt(np.mean(resid ** 2))),
@@ -128,36 +133,50 @@ def estimate_speed(result: SimulationResult, level: Optional[float] = None,
 SCAN_BLOCK_DOUBLES = 16384      # work buffer of the whole-cell scan (128 KiB)
 
 
+def _cell_minimum(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
+    """Exact minimum over t in [0, 1] of ``max_j |d_j - t e_j|``, and its t.
+
+    Kelley's cutting planes on the lines ``+-(d_j - t e_j)``: probe where the
+    largest lines at a bracket's two ends cross, until a probe's largest line
+    is one of those two.  No tolerance is needed.
+    """
+    def largest(t):   # t, then value, slope and identity of the largest line
+        r = d - t * e
+        j = int(np.argmax(np.abs(r)))
+        s = 1.0 if r[j] >= 0.0 else -1.0
+        return t, s * float(r[j]), -s * float(e[j]), (j, s)
+
+    ends = [largest(0.0), largest(1.0)]
+    while ends[0][2] < 0.0 < ends[1][2]:
+        (t0, f0, g0, line0), (t1, f1, g1, line1) = ends
+        t = (f1 - f0 + g0 * t0 - g1 * t1) / (g0 - g1)
+        if not t0 < t < t1:   # the bracket cannot shrink in floating point
+            break
+        probe = largest(t)
+        ends[probe[2] > 0.0] = probe   # it replaces the end on its slope's side
+        if probe[3] in (line0, line1):
+            break
+    return min((value, t) for t, value, _, _ in ends)
+
+
 def shift_matched_residual(u1: np.ndarray, u2: np.ndarray,
                            grid: Grid1D) -> tuple[float, float]:
     """L-inf distance between u2 and its best-matching translate of u1.
 
     The rows, windows of ``u1`` padded with its end values, are its translates
-    by whole cells k: linear interpolation at ``x - k h``.  One pass scans
-    every k h in [-b/2, b/2] through a buffer of ``SCAN_BLOCK_DOUBLES``
-    doubles (one row when n is larger).  Golden-section search then refines
-    within one cell either side of the best whole cell only, the translate by
-    (k + t) h being ``(1 - t) row_k + t row_(k+1)``; on plateaus the
-    whole-cell winner is kept.  For fronts this is the minimum over shifts;
-    for non-monotone profiles with several near-equal minima it is an upper
-    bound, as a lower minimum near another cell is not searched.  Returns
-    ``(residual, shift)`` with ``u2 ~ u1(. - shift)``.
+    by whole cells.  One pass scans those in [-b/2, b/2] through a buffer of
+    ``SCAN_BLOCK_DOUBLES`` doubles (one row when n is larger).  Between rows k
+    and k + 1 the translate is their blend, so the residual there changes by
+    at most L = max|diff u1| and stays above (vals_k + vals_(k+1) - L) / 2.
+    ``_cell_minimum`` searches the cells in order of that bound until it
+    reaches the best value found: the result is the minimum over all shifts
+    in [-b/2, b/2].  Returns ``(residual, shift)``, ``u2 ~ u1(. - shift)``.
     """
-    u1 = validate_state(u1, grid)
-    u2 = validate_state(u2, grid)
+    u1, u2 = validate_state(u1, grid), validate_state(u2, grid)
     n, h = grid.n, grid.h
     kmax = int(grid.b / 2 / h)
-    padded = np.pad(u1, kmax + 1, mode="edge")
-    # rows[k + kmax + 1] is u1 translated by k cells, |k| <= kmax + 1
-    rows = np.lib.stride_tricks.sliding_window_view(padded, n)[::-1]
-
-    def res(s):
-        k, t = divmod(s / h, 1.0)
-        r = int(k) + kmax + 1
-        blend = (1 - t) * rows[r] + t * rows[r + 1]
-        return float(np.max(np.abs(u2 - blend)))
-
-    scan = rows[1:-1]
+    # scan[k + kmax] is u1 translated by k cells, |k| <= kmax
+    scan = np.lib.stride_tricks.sliding_window_view(np.pad(u1, kmax, "edge"), n)[::-1]
     per_block = max(1, SCAN_BLOCK_DOUBLES // n)
     buf = np.empty((min(per_block, len(scan)), n))
     vals = np.empty(len(scan))
@@ -167,29 +186,16 @@ def shift_matched_residual(u1: np.ndarray, u2: np.ndarray,
         np.subtract(u2, chunk, out=block)
         np.abs(block, out=block)
         np.max(block, axis=1, out=vals[r0:r0 + len(chunk)])
-    i = int(np.argmin(vals))   # the shift (i - kmax) h
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = (max(0, i - 1) - kmax) * h, (min(2 * kmax, i + 1) - kmax) * h
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = res(c), res(d)
-    for _ in range(80):
-        if b - a < 1e-13 * max(1.0, grid.b):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = res(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = res(d)
-    shift = 0.5 * (a + b)
-    best = res(shift)
-    if vals[i] < best:  # keep the coarse winner on plateaus
-        return float(vals[i]), float((i - kmax) * h)
-    return best, float(shift)
+    i = kmax if vals[kmax] == vals.min() else int(np.argmin(vals))   # ties keep 0
+    best, shift = float(vals[i]), float(i)
+    lower = np.maximum(vals[:-1] + vals[1:] - np.max(np.abs(np.diff(u1))), 0.0) / 2
+    while lower.size and lower.min() < best:
+        k = int(np.argmin(lower))
+        lower[k] = np.inf
+        r, t = _cell_minimum(u2 - scan[k], scan[k + 1] - scan[k])
+        if r < best:
+            best, shift = r, k + t
+    return best, float((shift - kmax) * h)
 
 
 @dataclass
@@ -226,16 +232,12 @@ def estimate_decay_rate(result: SimulationResult,
             "the run may already sit on the steady profile")
     ts = result.times[mask]
     logr = np.log(residuals[mask])
-    design = np.vstack([ts, np.ones_like(ts)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, logr, rcond=None)
-    pred = design @ [slope, intercept]
-    ss_res = float(np.sum((logr - pred) ** 2))
+    slope, _, resid = _fit_line(ts, logr)
     ss_tot = float(np.sum((logr - logr.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    kappa = -float(slope)
+    r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 0.0
     return ConvergenceReport(
         times=result.times.copy(), residuals=residuals,
-        decay_rate=kappa if r2 >= 0.9 else None,
+        decay_rate=-float(slope) if r2 >= 0.9 else None,
         r_squared=r2, fit_points=int(np.count_nonzero(mask)))
 
 

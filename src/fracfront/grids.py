@@ -64,12 +64,13 @@ class Grid1D:
 
     def __init__(self, b: float, n: int):
         b = float(b)
-        n = int(n)
         if not 0.0 < b < np.inf:
             raise OutOfRangeError(
                 f"grid half-width b must be positive and finite, got {b}", "b")
-        if n < 3 or n % 2 == 0:
-            raise OutOfRangeError(f"node count n must be odd and >= 3, got {n}", "n")
+        if not (float(n).is_integer() and n >= 3 and n % 2 == 1):  # rejects 181.5, NaN
+            raise OutOfRangeError(
+                f"node count n must be an odd integer >= 3, got {n}", "n")
+        n = int(n)
         self.b = b
         self.n = n
         self.m = (n - 1) // 2

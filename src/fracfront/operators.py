@@ -263,8 +263,13 @@ class ToeplitzSolver:
         f, g = self._levinson(col, row)
         self._set_generators(f, g)
         # one step of iterative refinement: Levinson leaves errors of about
-        # cond(T) * eps in f and g, which residuals by direct sums remove
-        res = -self._toeplitz_times(col, row, np.stack([f, g], axis=1))
+        # cond(T) * eps in f and g, which residuals by direct sums remove (an
+        # FFT product's rounding scales with all of T, not with each row);
+        # windows[i] = T[i, ::-1], summed in row blocks of at most 1 MiB
+        windows = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([row[:0:-1], col]), n)
+        fg, block = np.stack([f, g], axis=1)[::-1], max(1, (1 << 17) // n)
+        res = -np.concatenate([windows[i:i + block] @ fg for i in range(0, n, block)])
         res[0, 0] += 1.0
         res[-1, 1] += 1.0
         df, dg = self._apply_t(res.T)
@@ -285,16 +290,6 @@ class ToeplitzSolver:
         self._upper = np.conj(spec(np.stack([g[::-1],
                                              np.concatenate([[0.0], f[:0:-1]])])))
         self._lower = spec(np.stack([f, -np.concatenate([[0.0], g[:-1]])]) / f[0])
-
-    @staticmethod
-    def _toeplitz_times(col: np.ndarray, row: np.ndarray, v: np.ndarray):
-        """T @ v by direct sums over blocks of rows of at most 1 MiB."""
-        n = len(col)
-        windows = np.lib.stride_tricks.sliding_window_view(
-            np.concatenate([row[:0:-1], col]), n)   # windows[i] = T[i, ::-1]
-        block = max(1, (1 << 17) // n)
-        return np.concatenate([windows[i:i + block] @ v[::-1]
-                               for i in range(0, n, block)])
 
     @staticmethod
     def _levinson(col: np.ndarray, row: np.ndarray):

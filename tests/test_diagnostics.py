@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -141,45 +140,13 @@ class TestShiftMatching:
         assert shift == pytest.approx(s, abs=0.05)
 
 
-def _shift_residual_reference(u1, u2, grid):
-    """The per-shift scan: one np.interp per whole-cell shift, then the same
-    golden section and plateau rule, as the library computed it before the
-    blocked window scan.  Returns ``(residual, shift, whole-cell residuals)``."""
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
+def _whole_cell_residuals(u1, u2, grid):
+    """The per-shift scan: one np.interp per whole-cell shift in [-b/2, b/2],
+    as the library computed it before the blocked window scan."""
     x = grid.x
-
-    def res(s):
-        return float(np.max(np.abs(u2 - np.interp(x - s, x, u1))))
-
     kmax = int(grid.b / 2 / grid.h)
-    coarse = np.arange(-kmax, kmax + 1) * grid.h
-    vals = [res(s) for s in coarse]
-    i = int(np.argmin(vals))
-    lo = coarse[max(0, i - 1)]
-    hi = coarse[min(len(coarse) - 1, i + 1)]
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = res(c), res(d)
-    for _ in range(80):
-        if b - a < 1e-13 * max(1.0, grid.b):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = res(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = res(d)
-    shift = 0.5 * (a + b)
-    best = res(shift)
-    if vals[i] < best:  # keep the coarse winner on plateaus
-        return vals[i], float(coarse[i]), vals
-    return best, float(shift), vals
+    return [float(np.max(np.abs(u2 - np.interp(x - k * grid.h, x, u1))))
+            for k in range(-kmax, kmax + 1)]
 
 
 @st.composite
@@ -212,22 +179,18 @@ class TestShiftScanMatchesReference:
         else:   # a near-translate, as in a decay fit
             s = data.draw(st.floats(-grid.b / 2, grid.b / 2))
             u2 = np.interp(grid.x - s, grid.x, u1) + data.draw(st.floats(-0.1, 0.1))
-        want_r, want_s, coarse = _shift_residual_reference(u1, u2, grid)
+        coarse = _whole_cell_residuals(u1, u2, grid)
         got_r, got_s = shift_matched_residual(u1, u2, grid)
         # np.interp at x - k*h rounds near the node it lands on: an absolute
         # error of a few ulps of the profile scale, which the exact window
         # scan does not make
         floor = 4 * np.finfo(float).eps * max(np.max(np.abs(u1)), np.max(np.abs(u2)))
-        best = min(coarse)
-        if np.count_nonzero(np.array(coarse) <= best + floor) > 1:
-            # whole cells tie up to that rounding, so either scan may refine
-            # around a different one of them; both keep the plateau value
-            assert got_r <= best + floor
-            return
-        if want_r == 0.0:
-            assert got_r == 0.0
-        assert abs(got_r - want_r) <= 1e-12 * want_r + floor
-        assert got_s == pytest.approx(want_s, abs=1e-9)
+        assert got_r <= min(coarse) + floor
+        # the residual is attained at the returned shift, which lies in the
+        # scanned range; rounding the shift costs up to n ulps of the scale
+        assert abs(got_s) <= (len(coarse) // 2) * grid.h * (1 + 1e-15)
+        at_shift = np.max(np.abs(u2 - np.interp(grid.x - got_s, grid.x, u1)))
+        assert abs(at_shift - got_r) <= n * floor
 
     def test_scan_memory_is_bounded(self):
         g = Grid1D(30.0, 1601)
@@ -269,7 +232,9 @@ class TestShiftMatchingIsMinimal:
     def test_no_lower_residual_on_a_dense_scan(self, data):
         n = data.draw(st.integers(5, 100)) * 2 + 1
         grid = Grid1D(data.draw(st.floats(5.0, 50.0)), n)
-        u1, u2 = data.draw(_front(grid)), data.draw(_front(grid))
+        profiles = st.one_of(_front(grid), _profiles(grid))
+        u1, u2 = data.draw(profiles), data.draw(profiles)
+        assert shift_matched_residual(u1, u1, grid) == (0.0, 0.0)
         got, _ = shift_matched_residual(u1, u2, grid)
         # 40 shifts per cell over the whole cells in [-b/2, b/2], the range
         # the function scans
@@ -278,6 +243,17 @@ class TestShiftMatchingIsMinimal:
         dense = min(float(np.max(np.abs(u2 - np.interp(grid.x - s, grid.x, u1))))
                     for s in shifts)
         assert got <= dense + 1e-12
+
+    def test_tied_whole_cells_do_not_hide_a_lower_minimum(self):
+        # every whole-cell shift keeps the peak 0.986 of this random profile;
+        # the minimum lies 3.48 cells away, and refining around the first of
+        # the tied cells alone gave 0.958486
+        g = Grid1D(1.0, 19)
+        u = np.random.default_rng(151).uniform(-1.0, 1.0, g.n)
+        residual, shift = shift_matched_residual(u, np.zeros(g.n), g)
+        assert residual == pytest.approx(0.5290513314161185, abs=1e-12)
+        assert np.max(np.abs(np.interp(g.x - shift, g.x, u))) == pytest.approx(
+            residual, abs=1e-12)
 
 
 class TestDecayEstimate:

@@ -7,6 +7,7 @@ from fracfront import (
     GridTooSmallError,
     NonFiniteError,
     OutOfRangeError,
+    RunConfig,
     quadrature_coefficients,
     quadrature_nodes_weights,
     validate_state,
@@ -59,6 +60,22 @@ class TestGrid:
     def test_invalid_grid(self, b, n):
         with pytest.raises(OutOfRangeError):
             Grid1D(b, n)
+
+    @pytest.mark.parametrize("n", [181.5, 181.7, float("nan"), float("inf")])
+    def test_node_count_must_be_integral(self, n):
+        with pytest.raises(OutOfRangeError) as exc:
+            Grid1D(30.0, n)
+        assert exc.value.param == "n"
+
+    def test_non_integral_node_count_in_run_config(self):
+        with pytest.raises(OutOfRangeError) as exc:
+            RunConfig(alpha=1.5, theta=0.0, n=181.7).validated()
+        assert exc.value.param == "n"
+
+    @pytest.mark.parametrize("n", [np.int64(181), np.int32(181), 181.0])
+    def test_integral_node_counts_accepted(self, n):
+        g = Grid1D(30.0, n)
+        assert g.n == 181 and type(g.n) is int
 
     def test_quadrature_mesh_default(self):
         g = Grid1D(30.0, 181)
