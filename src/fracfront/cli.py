@@ -10,9 +10,10 @@ flag, option or config-file value (the message names the flag).
 
 Above ``DENSE_INVERSE_MAX_N`` nodes ``sweep`` runs its (alpha, theta)
 groups in forked workers (README): each step there is numpy FFT work on one
-thread, while at or below it a step is a BLAS mat-vec that already spreads
-over every core.  Python 3.12+ warns when it forks a process that has
-threads, as BLAS starts them.
+thread, while at or below it a semi-implicit step is a BLAS mat-vec that
+spreads over every core (an rk-adaptive sweep, FFT work at every n, runs
+in-process there too until a benchmark workload measures it).  Python 3.12+
+warns when it forks a process that has threads, as BLAS starts them.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def _cmd_apply(parser, args) -> int:
     config = RunConfig(**_run_values(args))   # the defaults of unset flags
     params = FractionalParams(config.alpha, config.theta)
     profile = result_from_csv(args.input)
-    ghosts = "projection" if args.mode == "projection" else (lambda xq: np.zeros_like(xq))
+    ghosts = None if args.mode == "projection" else np.zeros_like
     v = apply_riesz_feller(profile.final, profile.grid, params, ghosts=ghosts,
                            tail_correction=config.tail_correction)
     write_columns(args.out, ("x", "Du"), (profile.grid.x, v))
@@ -321,7 +322,3 @@ def main(argv=None) -> int:
             args.parser.error(f"{flag}{exc}")
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -20,7 +20,7 @@ from .errors import (
     OutOfRangeError,
     WindowTooSmallError,
 )
-from .grids import FractionalParams, Grid1D, validate_state
+from .grids import FractionalParams, Grid1D, _integral_count, validate_state
 from .operators import riesz_feller_symbol
 from .reaction import BistableCubic
 from .stepping import SimulationResult, StepperConfig, integrate
@@ -45,12 +45,12 @@ def step_profile(x: np.ndarray, lo: float = STEP_LO, hi: float = STEP_HI) -> np.
     return np.where(x <= 0.0, lo, hi)
 
 
-def make_ic(variant, grid: Grid1D, step_lo: float = STEP_LO,
+def make_ic(variant: str, grid: Grid1D, step_lo: float = STEP_LO,
             step_hi: float = STEP_HI) -> np.ndarray:
-    """Sample an initial profile at the grid nodes.
+    """Sample the named initial profile at the grid nodes.
 
-    ``variant`` is "chen", "step" (levels ``step_lo``, ``step_hi``), or a
-    callable x -> u.
+    ``variant`` is "chen" or "step" (levels ``step_lo``, ``step_hi``); any
+    other profile goes to ``integrate`` as an array of nodal values.
     """
     for name, value in (("step_lo", step_lo), ("step_hi", step_hi)):
         if not np.isfinite(value):
@@ -59,10 +59,8 @@ def make_ic(variant, grid: Grid1D, step_lo: float = STEP_LO,
         return chen_ramp(grid.x)
     if variant == "step":
         return step_profile(grid.x, step_lo, step_hi)
-    if callable(variant):
-        return np.asarray(variant(grid.x), dtype=float)
     raise OutOfRangeError(
-        f"initial condition must be chen, step or a callable, got {variant!r}", "ic")
+        f"initial condition must be chen or step, got {variant!r}", "ic")
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +198,10 @@ def shift_matched_residual(u1: np.ndarray, u2: np.ndarray,
 
 @dataclass
 class ConvergenceReport:
-    times: np.ndarray
     residuals: np.ndarray            # shift-matched L-inf per snapshot
+    fitted: np.ndarray               # mask of the residuals the fit used
     decay_rate: Optional[float]      # reported only when r_squared >= 0.9
     r_squared: float
-    fit_points: int
 
 
 def estimate_decay_rate(result: SimulationResult,
@@ -236,9 +233,8 @@ def estimate_decay_rate(result: SimulationResult,
     ss_tot = float(np.sum((logr - logr.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 0.0
     return ConvergenceReport(
-        times=result.times.copy(), residuals=residuals,
-        decay_rate=-float(slope) if r2 >= 0.9 else None,
-        r_squared=r2, fit_points=int(np.count_nonzero(mask)))
+        residuals=residuals, fitted=mask,
+        decay_rate=-float(slope) if r2 >= 0.9 else None, r_squared=r2)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +312,7 @@ def green_function(params: FractionalParams, t: float, window: float = 200.0,
         if not 0.0 < value < np.inf:
             raise OutOfRangeError(
                 f"kernel {name} must be positive and finite, got {value}", name)
+    k_modes = _integral_count(k_modes, "k_modes")
     if k_modes < 2:
         raise OutOfRangeError(f"k_modes must be >= 2, got {k_modes}", "k_modes")
     dx = window / k_modes

@@ -22,6 +22,15 @@ import numpy as np
 from .errors import GridTooSmallError, NonFiniteError, OutOfRangeError
 
 
+def _integral_count(value, name: str) -> int:
+    """``value`` as an int if it is an integer or an integral float (181.0);
+    else (181.5, NaN, a string) ``OutOfRangeError`` naming ``name``."""
+    if not (isinstance(value, (int, np.integer)) or (
+            isinstance(value, (float, np.floating)) and float(value).is_integer())):
+        raise OutOfRangeError(f"{name} must be an integer, got {value}", name)
+    return int(value)
+
+
 @dataclass(frozen=True)
 class FractionalParams:
     """Validated (order, skewness) pair identifying the operator."""
@@ -67,10 +76,10 @@ class Grid1D:
         if not 0.0 < b < np.inf:
             raise OutOfRangeError(
                 f"grid half-width b must be positive and finite, got {b}", "b")
-        if not (float(n).is_integer() and n >= 3 and n % 2 == 1):  # rejects 181.5, NaN
+        n = _integral_count(n, "n")
+        if not (n >= 3 and n % 2 == 1):
             raise OutOfRangeError(
                 f"node count n must be an odd integer >= 3, got {n}", "n")
-        n = int(n)
         self.b = b
         self.n = n
         self.m = (n - 1) // 2

@@ -33,10 +33,10 @@ stepper is matrix-free.  The stencils:
   for the locally quadratic part of the profile on [0, b].  Without that
   correction the quadrature misses the ``O(h^(2-alpha))`` mass of the
   singular cell [0, h), which is the dominant error for alpha near 2.
-  Off-grid values are resolved by a ghost policy; the optional tail term
-  adds the closed-form contribution of (b, inf) assuming the profile is
-  constant beyond the domain.  ``apply_riesz_feller`` applies it to a
-  profile.
+  Off-grid values are the boundary values (projection ghosts) unless given
+  as a function of x; the optional tail term adds the closed-form
+  contribution of (b, inf) assuming the profile is constant beyond the
+  domain.  ``apply_riesz_feller`` applies it to a profile.
 * ``grunwald_letnikov_operator``: shifted Grunwald-Letnikov differences,
   normalized by ``-1/(2 cos(alpha pi/2))`` so that the two-sided sum
   discretizes the symmetric (theta = 0) operator.  Cross-check backend.
@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -61,10 +61,6 @@ from .errors import (
     UnsupportedError,
 )
 from .grids import FractionalParams, Grid1D, quadrature_nodes_weights, validate_state
-
-# Ghost policy: "projection" clamps off-domain reads to the boundary values;
-# a callable is evaluated at the off-grid coordinates (testing / free space).
-GhostPolicy = Union[str, Callable[[np.ndarray], np.ndarray]]
 
 # Largest n whose implicit solver is the dense inverse.  At 5-smooth FFT
 # lengths the O(n log n) Toeplitz solve matches the dense mat-vec per step
@@ -167,22 +163,20 @@ class OperatorMatrix:
         return np.fft.rfft(row[::-1], self._size)
 
     def matvec(self, u: np.ndarray,
-               ghosts: GhostPolicy = "projection") -> np.ndarray:
-        """Apply the operator to ``u``, off-grid values set by ``ghosts``.
+               ghosts: Optional[Callable] = None) -> np.ndarray:
+        """Apply the operator to ``u``, off-grid values given by ``ghosts``.
 
         Works on ``w = u - u[0]``, so a constant maps to exactly zero.  The
         row, diagonal included, correlates ``w`` alone; the projection
-        ghosts, all equal to ``w[-1]`` on the right and to 0 on the left,
-        enter as the right fold column times ``w[-1]``.  A callable policy
-        adds the correlation of its deviation from those ghost values.
+        ghosts (None), all equal to ``w[-1]`` on the right and to 0 on the
+        left, enter as the right fold column times ``w[-1]``.  A function of
+        x adds the correlation of its deviation from those ghost values.
         """
-        if not (callable(ghosts) or ghosts == "projection"):
-            raise UnsupportedError(f"unknown ghost policy: {ghosts!r}")
         n, m, size = self.grid.n, len(self.weights) // 2, self._size
         w = u - u[0]
         v = np.fft.irfft(np.fft.rfft(w, size) * self._spectrum, size)[m:m + n]
         v += self._folds[1] * w[-1]
-        if callable(ghosts):
+        if ghosts is not None:
             steps = self.grid.h * np.arange(1, m + 1)
             left = np.asarray(ghosts(self.grid.x[0] - steps[::-1]), dtype=float)
             right = np.asarray(ghosts(self.grid.x[-1] + steps), dtype=float)
@@ -247,8 +241,10 @@ class ToeplitzSolver:
     (L, U: lower/upper triangular Toeplitz with the given first column/row;
     S: the down shift) then applies T^-1 with four FFT triangular products,
     and a 2-column Woodbury correction adds the folds.  Only O(n) arrays
-    are held.  Raises ``SingularSystemError`` when the recursion breaks down
-    (a leading minor of T is singular) instead of returning NaN.
+    are held.  The solution is within 1e-16 * cond1(I - dt*A) of a dense LU
+    solve, relative to its largest entry (tested up to cond1 = 4e5).  Raises
+    ``SingularSystemError`` when the recursion breaks down (a leading minor
+    of T is singular) instead of returning NaN.
     """
 
     def __init__(self, op: OperatorMatrix, dt: float):
@@ -360,7 +356,7 @@ def apply_riesz_feller(
     u: np.ndarray,
     grid: Grid1D,
     params: FractionalParams,
-    ghosts: GhostPolicy = "projection",
+    ghosts: Optional[Callable] = None,
     tail_correction: bool = False,
 ) -> np.ndarray:
     """Apply ``assemble_operator_matrix(grid, params, tail_correction)``.
@@ -369,8 +365,9 @@ def apply_riesz_feller(
     ----------
     u : ndarray
         Nodal values on ``grid``.
-    ghosts : "projection" or callable
-        Off-domain value policy (see module docstring).
+    ghosts : callable or None
+        Off-domain values as a function of x (free space, exact profiles);
+        None is the scheme's projection onto the boundary values.
     tail_correction : bool
         Add the closed-form (b, inf) contribution assuming the profile is
         constant beyond the domain at the boundary node values (inert at

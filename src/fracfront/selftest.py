@@ -223,7 +223,7 @@ GROUPS = (
 )
 
 
-def run_selftest(print_fn=print) -> int:
+def run_selftest() -> int:
     """Run every group; returns 0 when all pass, 1 otherwise."""
     failures = 0
     for name, fn in GROUPS:
@@ -231,6 +231,6 @@ def run_selftest(print_fn=print) -> int:
             ok, detail = fn()
         except Exception as exc:  # surface, keep going
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        print_fn(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         failures += 0 if ok else 1
     return 0 if failures == 0 else 1

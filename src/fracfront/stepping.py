@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergedError, OutOfRangeError, StepLimitError, StepUnderflowError
-from .grids import FractionalParams, Grid1D, validate_state
+from .grids import FractionalParams, Grid1D, _integral_count, validate_state
 from .operators import OperatorMatrix, assemble_operator_matrix
 from .reaction import BistableCubic
 
@@ -69,6 +69,7 @@ def make_schedule(t_final: float, snapshots: int) -> np.ndarray:
     if not 0.0 <= t_final < np.inf:
         raise OutOfRangeError(
             f"t_final must be nonnegative and finite, got {t_final}", "t_final")
+    snapshots = _integral_count(snapshots, "snapshots")
     least = 2 if t_final > 0 else 1
     if snapshots < least:
         raise OutOfRangeError(f"snapshots must be >= {least} when t_final = "
@@ -108,10 +109,9 @@ class SimulationResult:
 # ---------------------------------------------------------------------------
 
 def step_semi_implicit(u: np.ndarray, dt: float, A: OperatorMatrix,
-                       nl: Optional[BistableCubic]) -> np.ndarray:
+                       nl: BistableCubic) -> np.ndarray:
     """Solve (I - dt*A) u_new = u + dt f(u)."""
-    rhs = u + dt * nl.f(u) if nl is not None else u
-    return A.factorization(dt) @ rhs
+    return A.factorization(dt) @ (u + dt * nl.f(u))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +169,7 @@ def integrate(
     cfg: StepperConfig,
     grid: Grid1D,
     params: FractionalParams,
-    nl: Optional[BistableCubic],
+    nl: BistableCubic,
     tail_correction: bool = False,
     operator: Optional[OperatorMatrix] = None,
 ) -> SimulationResult:
@@ -219,8 +219,7 @@ def integrate(
             states.append(u.copy())
     else:  # rk-adaptive
         def rhs(v):
-            Av = operator.matvec(v)
-            return Av + nl.f(v) if nl is not None else Av
+            return operator.matvec(v) + nl.f(v)
 
         dt, f_u = DT_INITIAL, rhs(u)
         for t, t_end in zip(schedule[:-1], schedule[1:]):

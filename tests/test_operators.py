@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgecon
 
 from fracfront import (
     DegenerateCoefficientsError,
@@ -156,11 +157,6 @@ class TestAssembledMatrix:
             rows = np.abs(A.entries).max(axis=1)
             assert np.max(np.abs(A.entries.sum(axis=1)) / rows) <= 1e-12
 
-    def test_unknown_ghost_policy_is_rejected(self):
-        A = assemble_operator_matrix(Grid1D(10.0, 41), FractionalParams(1.5, 0.0))
-        with pytest.raises(UnsupportedError, match="periodic"):
-            A.matvec(np.ones(41), ghosts="periodic")
-
     @pytest.mark.parametrize("tail", [False, True])
     def test_matches_matrix_free(self, tail):
         g = Grid1D(30.0, 181)
@@ -200,7 +196,7 @@ class TestAssembledMatrix:
                            atol=1e-13)
 
 
-def _quadrature_brute_force(u, grid, params, ghosts="projection", tail=False):
+def _quadrature_brute_force(u, grid, params, ghosts=None, tail=False):
     """Literal double loop over nodes and sub-mesh nodes j = 1..m, written
     from the module docstring: value differences against the kernel
     xi^(-1-alpha), the central-difference drift, the singular-cell
@@ -211,7 +207,7 @@ def _quadrature_brute_force(u, grid, params, ghosts="projection", tail=False):
     def at(i):  # nodal value, or the ghost value off the grid
         if 0 <= i < n:
             return u[i]
-        if ghosts == "projection":
+        if ghosts is None:   # projection
             return u[0] if i < 0 else u[-1]
         return float(ghosts(np.array([-b + i * h]))[0])
 
@@ -244,7 +240,7 @@ BRUTE_FORCE_PAIRS = ((1.3, -0.5), (1.6, 0.3), (1.9, 0.0), (1.2, 0.8))
 class TestAgainstBruteForce:
     @pytest.mark.parametrize("n", [13, 21])
     @pytest.mark.parametrize("tail", [False, True])
-    @pytest.mark.parametrize("ghosts", ["projection", GAUSS])
+    @pytest.mark.parametrize("ghosts", [pytest.param(None, id="projection"), GAUSS])
     def test_apply(self, n, tail, ghosts):
         grid = Grid1D(2.5, n)
         u = np.random.default_rng(n).standard_normal(n)
@@ -423,6 +419,24 @@ class TestToeplitzSolver:
         ref = lu_solve(lu_factor(np.eye(grid.n) - dt * A.entries), rhs)
         out = ToeplitzSolver(A, dt) @ rhs
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    # above the dense limit, where the semi-implicit step uses this solver;
+    # cond1 is LAPACK's estimate of the 1-norm condition number from the LU
+    @pytest.mark.parametrize("n,b,alpha,theta,tail", [
+        (1201, 2.0, 1.99, 0.01, True), (1001, 2.0, 1.99, 0.01, True),
+        (1601, 5.0, 2.0, 0.0, False), (1201, 1.0, 1.3, -0.5, True)])
+    def test_matches_lu_solve_above_the_dense_limit(self, n, b, alpha, theta, tail):
+        A = assemble_operator_matrix(Grid1D(b, n), FractionalParams(alpha, theta),
+                                     tail_correction=tail)
+        system = np.eye(n) - A.entries   # dt = 1
+        lu = lu_factor(system)
+        rcond, info = dgecon(lu[0], np.linalg.norm(system, 1), norm="1")
+        assert info == 0 and rcond > 0.0
+        rhs = np.random.default_rng(n).standard_normal(n)
+        ref = lu_solve(lu, rhs)
+        solver = A.factorization(1.0)
+        assert isinstance(solver, ToeplitzSolver)
+        assert np.max(np.abs(solver @ rhs - ref)) <= 1e-16 / rcond * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("weights,far", [
         # 1 + dt*row_sum = -1 and both neighbours 1: the leading 2 x 2 minor

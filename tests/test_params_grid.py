@@ -8,10 +8,21 @@ from fracfront import (
     NonFiniteError,
     OutOfRangeError,
     RunConfig,
+    green_function,
     quadrature_coefficients,
     quadrature_nodes_weights,
     validate_state,
 )
+
+
+# each integral count a call takes, and the int the call made of it
+COUNTS = {
+    "n": lambda n: Grid1D(30.0, n).n,
+    "snapshots": lambda n: len(RunConfig(alpha=1.7, theta=0.2, snapshots=n)
+                               .validated()[4]),
+    "k_modes": lambda n: len(green_function(FractionalParams(1.5, 0.0), 1.0,
+                                            800.0, n)[0]),
+}
 
 
 class TestParams:
@@ -61,21 +72,31 @@ class TestGrid:
         with pytest.raises(OutOfRangeError):
             Grid1D(b, n)
 
-    @pytest.mark.parametrize("n", [181.5, 181.7, float("nan"), float("inf")])
-    def test_node_count_must_be_integral(self, n):
+    @pytest.mark.parametrize("name,n", [
+        pytest.param("n", n, id=str(n))
+        for n in (181.5, 181.7, float("nan"), float("inf"))] + [
+        ("snapshots", 21.5), ("snapshots", float("nan")), ("snapshots", "21"),
+        ("k_modes", 1000.5), ("k_modes", float("inf"))])
+    def test_node_count_must_be_integral(self, name, n):
         with pytest.raises(OutOfRangeError) as exc:
-            Grid1D(30.0, n)
-        assert exc.value.param == "n"
+            COUNTS[name](n)
+        assert exc.value.param == name
 
     def test_non_integral_node_count_in_run_config(self):
         with pytest.raises(OutOfRangeError) as exc:
             RunConfig(alpha=1.5, theta=0.0, n=181.7).validated()
         assert exc.value.param == "n"
 
-    @pytest.mark.parametrize("n", [np.int64(181), np.int32(181), 181.0])
-    def test_integral_node_counts_accepted(self, n):
-        g = Grid1D(30.0, n)
-        assert g.n == 181 and type(g.n) is int
+    @pytest.mark.parametrize("name,n", [
+        pytest.param("n", np.int64(181), id="n0"),
+        pytest.param("n", np.int32(181), id="n1"),
+        pytest.param("n", 181.0, id="181.0"),
+        ("snapshots", 21.0),
+        pytest.param("snapshots", np.int64(21), id="snapshots-int64"),
+        ("k_modes", 1000.0)])
+    def test_integral_node_counts_accepted(self, name, n):
+        count = COUNTS[name](n)
+        assert count == int(n) and type(count) is int
 
     def test_quadrature_mesh_default(self):
         g = Grid1D(30.0, 181)

@@ -67,10 +67,11 @@ class TestConfig:
 
 class TestSemiImplicit:
     def test_constant_is_fixed_point_without_reaction(self):
+        # u = 1 is a zero of the reaction, so only the solve acts on it
         g = Grid1D(10.0, 41)
         A = assemble_operator_matrix(g, FractionalParams(1.6, 0.2))
-        u = np.full(g.n, 0.37)
-        out = step_semi_implicit(u, 0.1, A, None)
+        u = np.full(g.n, 1.0)
+        out = step_semi_implicit(u, 0.1, A, BistableCubic(0.4))
         assert np.max(np.abs(out - u)) <= 1e-13
 
     def test_zero_operator_reduces_to_explicit_euler(self):
