@@ -128,7 +128,7 @@ def estimate_speed(result: SimulationResult, level: Optional[float] = None,
 # profile distance modulo translation
 # ---------------------------------------------------------------------------
 
-SCAN_BLOCK_DOUBLES = 16384      # work buffer of the whole-cell scan (128 KiB)
+SCAN_BLOCK_DOUBLES = 16384      # block of the whole-cell scan (128 KiB)
 
 
 def _cell_minimum(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
@@ -162,7 +162,7 @@ def shift_matched_residual(u1: np.ndarray, u2: np.ndarray,
     """L-inf distance between u2 and its best-matching translate of u1.
 
     The rows, windows of ``u1`` padded with its end values, are its translates
-    by whole cells.  One pass scans those in [-b/2, b/2] through a buffer of
+    by whole cells.  One pass scans those in [-b/2, b/2], in blocks of about
     ``SCAN_BLOCK_DOUBLES`` doubles (one row when n is larger).  Between rows k
     and k + 1 the translate is their blend, so the residual there changes by
     at most L = max|diff u1| and stays above (vals_k + vals_(k+1) - L) / 2.
@@ -175,15 +175,9 @@ def shift_matched_residual(u1: np.ndarray, u2: np.ndarray,
     kmax = int(grid.b / 2 / h)
     # scan[k + kmax] is u1 translated by k cells, |k| <= kmax
     scan = np.lib.stride_tricks.sliding_window_view(np.pad(u1, kmax, "edge"), n)[::-1]
-    per_block = max(1, SCAN_BLOCK_DOUBLES // n)
-    buf = np.empty((min(per_block, len(scan)), n))
-    vals = np.empty(len(scan))
-    for r0 in range(0, len(scan), per_block):
-        chunk = scan[r0:r0 + per_block]
-        block = buf[:len(chunk)]
-        np.subtract(u2, chunk, out=block)
-        np.abs(block, out=block)
-        np.max(block, axis=1, out=vals[r0:r0 + len(chunk)])
+    rows = max(1, SCAN_BLOCK_DOUBLES // n)
+    vals = np.concatenate([np.abs(u2 - scan[r:r + rows]).max(axis=1)
+                           for r in range(0, len(scan), rows)])
     i = kmax if vals[kmax] == vals.min() else int(np.argmin(vals))   # ties keep 0
     best, shift = float(vals[i]), float(i)
     lower = np.maximum(vals[:-1] + vals[1:] - np.max(np.abs(np.diff(u1))), 0.0) / 2

@@ -98,19 +98,17 @@ class Grid1D:
 def quadrature_nodes_weights(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     """Trapezoid nodes and weights for the singular-integral sub-mesh.
 
-    Nodes are ``xi_j = j*h`` for ``j = 1..M`` (the last one snapped onto
-    ``b``), weights are the composite-trapezoid weights on [h, b]:
-    ``h/2, h, ..., h, h/2``.
+    Nodes are the grid's positive nodes ``xi_j = x[M + j] = j*h`` for
+    ``j = 1..M`` (a read-only view; ``xi_M = b`` exactly), weights are the
+    composite-trapezoid weights on [h, b]: ``h/2, h, ..., h, h/2``.
     """
     if grid.m < 2:
         raise GridTooSmallError(
             f"quadrature needs n >= 5 (M >= 2), got n={grid.n}", "n")
-    xi = grid.h * np.arange(1, grid.m + 1)
-    xi[-1] = grid.b
     w = np.full(grid.m, grid.h)
     w[0] = grid.h / 2
     w[-1] = grid.h / 2
-    return xi, w
+    return grid.x[grid.m + 1:], w
 
 
 def validate_state(u: np.ndarray, grid: Grid1D) -> np.ndarray:

@@ -232,6 +232,8 @@ class ToeplitzSolver:
     """Solves ``(I - dt*A) x = r`` for an ``OperatorMatrix`` A in O(n log n).
 
     ``I - dt*A`` is a Toeplitz matrix T plus the two boundary-fold columns.
+    T is built once, as the 2n - 1 entries t with T[i, j] = t[n - 1 + j - i];
+    the recursion reads its first column and row from t, the refinement its rows.
     Setup runs the nonsymmetric Levinson recursion, O(n^2), for the first
     and last columns f and g of T^-1, then refines them once against
     residuals summed directly, also O(n^2).  The Gohberg-Semencul formula
@@ -249,21 +251,19 @@ class ToeplitzSolver:
 
     def __init__(self, op: OperatorMatrix, dt: float):
         n, m = op.grid.n, len(op.weights) // 2
-        # k[n - 1 + d] is the stencil weight at offset d, |d| <= n - 1
-        k = np.pad(op.weights, n - 1 - m)
-        col = -dt * k[n - 1::-1]   # T[i, 0], i = 0..n-1
-        row = -dt * k[n - 1:]      # T[0, j], j = 0..n-1
-        col[0] = row[0] = 1.0 + dt * op.row_sum
+        t = -dt * np.pad(op.weights, n - 1 - m)
+        t[n - 1] = 1.0 + dt * op.row_sum
         # the triangular products are wrap-free at 2n - 1 points
         self._n, self._size = n, _fft_size(2 * n - 1)
-        f, g = self._levinson(col, row)
+        # T[:, 0] as a copy: over the reversed view Levinson's dot products
+        # would sum in another order, and f and g would change in the last bits
+        f, g = self._levinson(t[n - 1::-1].copy(), t[n - 1:])
         self._set_generators(f, g)
         # one step of iterative refinement: Levinson leaves errors of about
         # cond(T) * eps in f and g, which residuals by direct sums remove (an
         # FFT product's rounding scales with all of T, not with each row);
         # windows[i] = T[i, ::-1], summed in row blocks of at most 1 MiB
-        windows = np.lib.stride_tricks.sliding_window_view(
-            np.concatenate([row[:0:-1], col]), n)
+        windows = np.lib.stride_tricks.sliding_window_view(t[::-1], n)
         fg, block = np.stack([f, g], axis=1)[::-1], max(1, (1 << 17) // n)
         res = -np.concatenate([windows[i:i + block] @ fg for i in range(0, n, block)])
         res[0, 0] += 1.0

@@ -135,9 +135,9 @@ def read_profile_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read a snapshot CSV back: returns (x, times, states[k, n])."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
-        raise FracfrontError(f"cannot read profile CSV {path}: {exc}") from exc
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FracfrontError(f"{path}: cannot read profile CSV: {exc}") from exc
     lines = [ln.split(",") for ln in text.splitlines() if ln.strip()]
     header = lines[0] if lines else []
     if (header[:1] != ["x"] or len(header) < 2
@@ -181,13 +181,13 @@ def result_from_csv(path, a: Optional[float] = None) -> SimulationResult:
 
 def build_manifest(result: SimulationResult, diagnostics: dict,
                    config: RunConfig) -> dict:
-    try:
-        c1, c2 = quadrature_coefficients(result.params)
-    except FracfrontError:
-        c1 = c2 = None  # classical endpoint
+    c1, c2 = ((None, None) if result.params.is_classical
+              else quadrature_coefficients(result.params))
     return {
         "version": __version__,
-        "config": dataclasses.asdict(config),
+        # counts as ints, as the CLI writes them, also for an integral float
+        "config": {**dataclasses.asdict(config), "n": int(config.n),
+                   "snapshots": int(config.snapshots)},
         "derived": {
             "h": result.grid.h,
             "m": result.grid.m,
@@ -232,8 +232,12 @@ def read_config_file(path) -> dict:
     directory is always the ``--out`` flag.  '#' starts a comment.
     """
     path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FracfrontError(f"{path}: cannot read config file: {exc}") from exc
     out = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -184,16 +184,13 @@ def check_manifest_schema() -> tuple[bool, str]:
         RunConfig,
         run_simulation,
         write_manifest,
-        write_snapshot_csv,
     )
 
     config = RunConfig(alpha=1.8, theta=0.1, n=61, b=10.0, t_final=1.0,
                        dt=0.05, snapshots=6)
     result, diag = run_simulation(config)
     with tempfile.TemporaryDirectory() as tmp:
-        csv_path = Path(tmp) / "snapshots.csv"
         man_path = Path(tmp) / "manifest.json"
-        write_snapshot_csv(result, csv_path)
         write_manifest(result, diag, config, man_path)
         manifest = json.loads(man_path.read_text())
     missing = [k for k in MANIFEST_REQUIRED_KEYS if k not in manifest]

@@ -24,7 +24,6 @@ each requested time exactly (the reported times are the schedule's floats).
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -203,10 +202,15 @@ def integrate(
         stats["u_max"] = max(stats["u_max"], hi)
 
     if cfg.method == "semi-implicit":
+        spans = np.diff(schedule)
+        with np.errstate(over="ignore"):   # a count past 1.8e308 is inf
+            counts = np.ceil(spans / cfg.dt * (1 - 1e-12))
+        if counts.sum() > MAX_STEPS:   # before any step is taken
+            raise StepLimitError(f"the schedule needs {counts.sum():.3g} steps of "
+                                 f"dt = {cfg.dt:g}, over MAX_STEPS = {MAX_STEPS}")
         stats.update(solver=operator.solver, solver_setup_s=0.0)
         step = cfg.dt
-        for span in np.diff(schedule):
-            count = math.ceil(span / cfg.dt * (1 - 1e-12))
+        for span, count in zip(spans, counts.astype(int)):
             if abs(span / count - step) > 1e-12 * step:
                 step = span / count
             if not operator.factorized(step):  # a shared operator may hold it

@@ -13,10 +13,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _run_python(args):
+    """Run python on ``args`` with every warning an error, as pytest runs."""
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    return subprocess.run([sys.executable, *args], env=env, cwd=ROOT,
+    return subprocess.run([sys.executable, "-W", "error", *args], env=env, cwd=ROOT,
                           capture_output=True, text=True)
 
 

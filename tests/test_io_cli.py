@@ -155,6 +155,16 @@ class TestManifest:
         m = json.loads(path.read_text())
         assert m["derived"]["c1"] is None and m["derived"]["c2"] is None
 
+    def test_integral_float_counts_written_as_ints(self, tmp_path):
+        # the CLI parses counts as ints; a library config may hold 61.0
+        config = RunConfig(**{**TINY, "n": 61.0, "snapshots": 6.0})
+        result, diag = run_simulation(config)
+        path = tmp_path / "m.json"
+        write_manifest(result, diag, config, path)
+        m = json.loads(path.read_text())["config"]
+        assert (m["n"], m["snapshots"]) == (61, 6)
+        assert type(m["n"]) is int and type(m["snapshots"]) is int
+
 
 class TestDeterminism:
     def test_identical_configs_identical_bytes(self, tmp_path):
@@ -606,6 +616,42 @@ class TestExitCodes:
                      "--input", str(run / "snapshots.csv"),
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot write CSV {out}")
+
+    def _exits_1(self, argv, capsys) -> str:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--dt", "1e-310"), ("--t-final", "1e308"), ("--t-final", "1e16"),
+    ])
+    def test_step_budget_overrun_exits_1_before_stepping(
+            self, tmp_path, capsys, monkeypatch, flag, value):
+        # 1e-310 and 1e308 plan more steps than a float holds; 1e16 plans
+        # 5e17, and the per-step check would stop it only after 1e7 steps
+        steps = []
+        monkeypatch.setattr(fracfront.stepping, "step_semi_implicit",
+                            lambda *args: steps.append(1))
+        err = self._exits_1(["simulate", "--alpha", "1.7", "--theta", "0.2",
+                             flag, value, "--out", str(tmp_path / "run")], capsys)
+        assert "MAX_STEPS" in err and steps == []
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("entry", ["apply", "speed", "config"])
+    def test_undecodable_input_exits_1(self, tmp_path, capsys, entry):
+        bad = tmp_path / ("run.cfg" if entry == "config" else "snapshots.csv")
+        bad.write_bytes(b"x,u@t=0\n-1,\xff\xfe\n")   # not UTF-8
+        (tmp_path / "manifest.json").write_text('{"config": {"a": 0.5}}')
+        argv = {"apply": ["apply", "--alpha", "1.8", "--theta", "0.1",
+                          "--input", str(bad), "--out", str(tmp_path / "a.csv")],
+                "speed": ["speed", "--run", str(tmp_path)],
+                "config": ["simulate", "--config", str(bad),
+                           "--out", str(tmp_path / "run")]}[entry]
+        assert self._exits_1(argv, capsys).startswith(f"error: {bad}: ")
+        assert not (tmp_path / "a.csv").exists()
+        assert not (tmp_path / "run").exists()
 
     def test_sweep_validates_every_configuration_before_writing(
             self, tmp_path, capsys):
