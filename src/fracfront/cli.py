@@ -5,15 +5,17 @@ application on a saved profile), ``green`` (sample the diffusion kernel),
 ``speed`` (recompute wave diagnostics from a saved run), ``sweep``
 (cartesian parameter sweep), ``selftest`` (built-in invariant suite).
 
-Exit codes: 0 success; 1 unreadable input file or runtime failure; 2 bad
-flag, option or config-file value (the message names the flag).
+Exit codes: 0 success; 1 unreadable input file or runtime failure (an
+array too large to allocate included); 2 bad flag, option or config-file
+value (the message names the flag).
 
-Above ``DENSE_INVERSE_MAX_N`` nodes ``sweep`` runs its (alpha, theta)
-groups in forked workers (README): each step there is numpy FFT work on one
-thread, while at or below it a semi-implicit step is a BLAS mat-vec that
-spreads over every core (an rk-adaptive sweep, FFT work at every n, runs
-in-process there too until a benchmark workload measures it).  Python 3.12+
-warns when it forks a process that has threads, as BLAS starts them.
+``simulate`` runs as a sweep of one configuration.  Above
+``DENSE_INVERSE_MAX_N`` nodes a sweep runs its (alpha, theta) groups in
+forked workers (README): each step there is numpy FFT work on one thread,
+while at or below it a semi-implicit step is a BLAS mat-vec that spreads
+over every core (an rk-adaptive sweep, FFT work at every n, runs in-process
+there too until a benchmark workload measures it).  Python 3.12+ warns
+when it forks a process that has threads, as BLAS starts them.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ def _add_run_arguments(sub: argparse.ArgumentParser, names=None,
 
     Without ``names`` a ``--config`` file fills what the flags leave out and
     ``sweep`` takes lists; with them the fields without a default are required.
+    ``args.run_flags`` maps a field to the dest of its flag where they differ.
     """
     for field in dataclasses.fields(RunConfig):
         if field.name == "out" or (names is not None and field.name not in names):
@@ -75,11 +78,18 @@ def _add_run_arguments(sub: argparse.ArgumentParser, names=None,
                                        field.default is dataclasses.MISSING))
     if names is None:
         sub.add_argument("--config", help="key = value file; explicit flags override")
+    sub.set_defaults(run_flags=_SWEEP_LISTS if sweep else {})
 
 
 def _run_values(args: argparse.Namespace) -> dict:
-    """RunConfig keywords: the config file's values, overridden by flags."""
+    """RunConfig keywords: the config file's values, overridden by flags; a
+    key whose flag has another name here (sweep's lists) is an error."""
     values = read_config_file(args.config) if getattr(args, "config", None) else {}
+    for field, dest in args.run_flags.items():
+        if field in values:
+            raise OutOfRangeError(
+                f"{args.config}: {field!r} is not a {args.command} config key; "
+                f"give it as --{dest.replace('_', '-')}", field)
     for field in dataclasses.fields(RunConfig):
         if getattr(args, field.name, None) is not None:
             values[field.name] = getattr(args, field.name)
@@ -96,11 +106,11 @@ def _cmd_simulate(parser, args) -> int:
     values = _run_values(args)
     if "alpha" not in values or "theta" not in values:
         parser.error("--alpha and --theta are required (flag or config file)")
-    print(_run_and_write(RunConfig(**values)))
+    _run_groups([[RunConfig(**values)]])
     return 0
 
 
-def _run_and_write(config: RunConfig, operator=None) -> str:
+def _run_and_write(config: RunConfig, operator) -> str:
     """Run ``config``, write its outputs and return its summary line."""
     result, diag = run_simulation(config, operator)
     out_dir = Path(config.out)
@@ -159,11 +169,11 @@ def _cmd_speed(parser, args) -> int:
 
 
 def _cmd_sweep(parser, args) -> int:
-    for flag in _SWEEP_LISTS.values():   # directories are labelled with :g
+    for field, flag in _SWEEP_LISTS.items():   # directories are labelled with :g
         labels = [f"{value:g}" for value in getattr(args, flag)]
         if len(set(labels)) < len(labels):
             raise OutOfRangeError(f"{getattr(args, flag)} give the output directory "
-                                  f"labels {labels}; two would share one", flag)
+                                  f"labels {labels}; two would share one", field)
     values = _run_values(args)
     configs = [RunConfig(**{**values, "alpha": alpha, "theta": theta, "a": a,
                             "out": str(Path(args.out) /
@@ -171,30 +181,12 @@ def _cmd_sweep(parser, args) -> int:
                for alpha in args.alphas for theta in args.thetas
                for a in args.a_list]
     for config in configs:   # every configuration is checked before any writes
-        try:
-            config.validated()
-        except OutOfRangeError as exc:   # name the list flag the value came from
-            exc.param = _SWEEP_LISTS.get(exc.param, exc.param)
-            raise
+        config.validated()
     # the loops run a innermost, so configurations sharing (alpha, theta)
     # are consecutive and share one operator and its cached solver
-    groups = [list(group) for _, group in
-              itertools.groupby(configs, lambda c: (c.alpha, c.theta))]
-    _run_groups(groups, _sweep_workers(len(groups), configs[0].n))
+    _run_groups([list(group) for _, group in
+                 itertools.groupby(configs, lambda c: (c.alpha, c.theta))])
     return 0
-
-
-def _sweep_workers(groups: int, n: int) -> int:
-    """How many processes run a sweep's groups (see the module docstring).
-
-    Workers are forked, so they start with the modules already imported;
-    where fork or the CPU affinity is unavailable the sweep runs in-process.
-    """
-    if n <= DENSE_INVERSE_MAX_N or not hasattr(os, "sched_getaffinity"):
-        return 1
-    import multiprocessing   # here only: a serial run never pays its import
-    fork = "fork" in multiprocessing.get_all_start_methods()
-    return min(groups, len(os.sched_getaffinity(0))) if fork else 1
 
 
 def _run_group(group: list) -> tuple[list, Exception | None]:
@@ -207,27 +199,30 @@ def _run_group(group: list) -> tuple[list, Exception | None]:
         operator = assemble_operator_matrix(grid, params, group[0].tail_correction)
         for config in group:
             lines.append(_run_and_write(config, operator))
-    except (FracfrontError, OSError) as exc:
+    except (FracfrontError, OSError, MemoryError) as exc:
         return lines, exc
     return lines, None
 
 
-def _run_groups(groups: list, workers: int) -> None:
-    """Run the groups, in forked workers if ``workers > 1``; print each
-    group's lines in configuration order once it is done.
+def _run_groups(groups: list) -> None:
+    """Run the groups, in forked workers (one per CPU) if there are two or
+    more above ``DENSE_INVERSE_MAX_N`` nodes and fork is available; print
+    each group's lines in configuration order once it is done.
 
     The first error in configuration order is raised once the lines before
     it are printed.  In-process, the groups after it never run; groups a
     worker has already taken still finish, and the others are cancelled.
     """
     pool, broken, run = None, (), map   # in-process no worker can die
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool as broken
-        pool = ProcessPoolExecutor(workers,
-                                   mp_context=multiprocessing.get_context("fork"))
-        run = pool.map
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if len(groups) > 1 and groups[0][0].n > DENSE_INVERSE_MAX_N and cpus > 1:
+        import multiprocessing   # here only: a serial run never pays its import
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool as broken
+            pool = ProcessPoolExecutor(min(len(groups), cpus),
+                                       mp_context=multiprocessing.get_context("fork"))
+            run = pool.map
     try:
         # the builtin map is lazy: a group runs only once the last is printed
         outcomes = run(_run_group, groups)
@@ -313,12 +308,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # argparse on Python 3.11 reads --dt=-- as [] without calling the type
+    for dest, value in vars(args).items():
+        if value == []:
+            args.parser.error(f"--{dest.replace('_', '-')}: expected a value, "
+                              "got '--'")
     try:
         return args.func(args.parser, args)
-    except (FracfrontError, OSError) as exc:
-        if isinstance(exc, OutOfRangeError) and (
-                exc.param is None or hasattr(args, exc.param)):
-            flag = f"--{exc.param.replace('_', '-')}: " if exc.param else ""
-            args.parser.error(f"{flag}{exc}")
+    except (FracfrontError, OSError, MemoryError) as exc:
+        if isinstance(exc, OutOfRangeError):
+            dest = getattr(args, "run_flags", {}).get(exc.param, exc.param)
+            if dest is None or hasattr(args, dest):
+                flag = f"--{dest.replace('_', '-')}: " if dest else ""
+                args.parser.error(f"{flag}{exc}")
         print(f"error: {exc}", file=sys.stderr)
         return 1

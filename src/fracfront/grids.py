@@ -23,11 +23,16 @@ from .errors import GridTooSmallError, NonFiniteError, OutOfRangeError
 
 
 def _integral_count(value, name: str) -> int:
-    """``value`` as an int if it is an integer or an integral float (181.0);
-    else (181.5, NaN, a string) ``OutOfRangeError`` naming ``name``."""
+    """``value`` as an int if it is an integer or an integral float (181.0)
+    that numpy can size a complex128 array by; else (181.5, NaN, a string,
+    10**18) ``OutOfRangeError`` naming ``name``."""
     if not (isinstance(value, (int, np.integer)) or (
             isinstance(value, (float, np.floating)) and float(value).is_integer())):
         raise OutOfRangeError(f"{name} must be an integer, got {value}", name)
+    largest = np.iinfo(np.intp).max // 16   # 16 bytes per complex128 element
+    if int(value) > largest:
+        raise OutOfRangeError(f"{name} must be at most {largest}, got {int(value)}",
+                              name)
     return int(value)
 
 

@@ -203,8 +203,10 @@ def integrate(
 
     if cfg.method == "semi-implicit":
         spans = np.diff(schedule)
-        with np.errstate(over="ignore"):   # a count past 1.8e308 is inf
-            counts = np.ceil(spans / cfg.dt * (1 - 1e-12))
+        # a count past 1.8e308 is inf; a span / dt that underflows still
+        # takes one step
+        with np.errstate(over="ignore"):
+            counts = np.maximum(np.ceil(spans / cfg.dt * (1 - 1e-12)), 1)
         if counts.sum() > MAX_STEPS:   # before any step is taken
             raise StepLimitError(f"the schedule needs {counts.sum():.3g} steps of "
                                  f"dt = {cfg.dt:g}, over MAX_STEPS = {MAX_STEPS}")

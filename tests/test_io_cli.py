@@ -38,7 +38,7 @@ from fracfront import (
     write_manifest,
     write_snapshot_csv,
 )
-from fracfront.cli import build_parser, main
+from fracfront.cli import build_parser, float_list, main
 
 def _repr_csv(header, x, y) -> bytes:
     """Reference two-column CSV, written value by value with repr."""
@@ -508,6 +508,22 @@ class TestExitCodes:
         assert not (tmp_path / "run").exists()
         assert not (tmp_path / "elsewhere").exists()
 
+    @pytest.mark.parametrize("key,value,flag", [
+        ("alpha", "1.9", "--alphas"), ("theta", "0.05", "--thetas"),
+        ("a", "0.4", "--a-list"),
+    ])
+    def test_sweep_config_list_key_exits_2(self, tmp_path, capsys, key, value,
+                                           flag):
+        # sweep takes these from its list flags, which would override the key
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        err = self._exits_2(["sweep", "--config", str(cfg), "--alphas", "1.5",
+                             "--thetas", "0", "--a-list", "0.5", *self.SMALL_RUN,
+                             "--out", str(tmp_path / "sw")], capsys)
+        assert (f"{flag}: {cfg}: {key!r} is not a sweep config key; "
+                f"give it as {flag}\n") in err
+        assert not (tmp_path / "sw").exists()
+
     @pytest.mark.parametrize("flag,value", [
         ("--ic", "ramp"), ("--stepper", "bdf"), ("--stepper", "spectral-imex"),
     ])
@@ -517,6 +533,19 @@ class TestExitCodes:
                              "--out", str(tmp_path / "run")], capsys)
         assert f"{flag}:" in err and value in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command,flag", [
+        ("simulate", "--step-hi"), ("simulate", "--dt"),
+        ("sweep", "--alphas"), ("sweep", "--b"),
+    ])
+    def test_double_dash_value_exits_2(self, tmp_path, capsys, command, flag):
+        # some argparse versions read --flag=-- as an empty list, not a value
+        runs = (["--alphas", "1.5", "--thetas", "0", "--a-list", "0.5"]
+                if command == "sweep" else ["--alpha", "1.5", "--theta", "0"])
+        err = self._exits_2([command, *runs, *self.SMALL_RUN, f"{flag}=--",
+                             "--out", str(tmp_path / "out")], capsys)
+        assert f"{flag}: " in err
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_non_numeric_list_exits_2(self, tmp_path, capsys):
         err = self._exits_2(["sweep", "--alphas", "1.5,abc", "--thetas", "0",
@@ -638,6 +667,49 @@ class TestExitCodes:
                              flag, value, "--out", str(tmp_path / "run")], capsys)
         assert "MAX_STEPS" in err and steps == []
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("n", ["21", "1001"])
+    def test_underflowing_step_count_takes_one_step(self, tmp_path, capsys, n):
+        # 1e-300 / 1e300 underflows to a count of 0; the suite turns the
+        # divide-by-zero warning that a count of 0 gave into an error
+        out = tmp_path / "run"
+        assert main(["simulate", "--alpha", "1.7", "--theta", "0.2",
+                     "--t-final", "1e-300", "--dt", "1e300", "--snapshots", "2",
+                     "--n", n, "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["stats"]["steps"] == 1
+        assert capsys.readouterr().err == ""
+
+    # 10**15 elements of 8 bytes are far past the 128 TiB user address space
+    # of x86-64, so the allocation fails at once; no test here may use a
+    # size that fits in memory
+    @pytest.mark.parametrize("argv", [
+        ["green", "--alpha", "1.5", "--theta", "0", "--k-modes", str(10 ** 15)],
+        ["simulate", "--alpha", "1.5", "--theta", "0", "--n", str(10 ** 15 + 1)],
+        ["simulate", "--alpha", "1.5", "--theta", "0",
+         "--snapshots", str(10 ** 15)],
+        ["sweep", "--alphas", "1.5", "--thetas=-0.1,0.1", "--a-list", "0.5",
+         "--n", str(10 ** 15 + 1)],
+    ], ids=["green-k-modes", "simulate-n", "simulate-snapshots", "sweep-n"])
+    def test_unallocatable_count_exits_1(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        self._exits_1([*argv, "--out", str(out)], capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["green", "--alpha", "1.5", "--theta", "0"], "--k-modes"),
+        (["simulate", "--alpha", "1.5", "--theta", "0"], "--n"),
+        (["simulate", "--alpha", "1.5", "--theta", "0"], "--snapshots"),
+        (["sweep", "--alphas", "1.5", "--thetas=-0.1,0.1", "--a-list", "0.5"],
+         "--n"),
+    ], ids=["green-k-modes", "simulate-n", "simulate-snapshots", "sweep-n"])
+    def test_count_beyond_numpy_arrays_exits_2(self, tmp_path, capsys, argv,
+                                               flag):
+        # numpy sizes no complex128 array past intp max // 16, about 5.8e17
+        out = tmp_path / "out"
+        err = self._exits_2([*argv, f"{flag}={10 ** 18 + 1}", "--out", str(out)],
+                            capsys)
+        assert f"{flag}: " in err and "must be at most" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("entry", ["apply", "speed", "config"])
     def test_undecodable_input_exits_1(self, tmp_path, capsys, entry):
@@ -1005,19 +1077,51 @@ def _rejected_values(flag):
     return (_REJECTED[flag] | _NONFINITE).map(repr) | _NOT_FLOAT
 
 
+# sweep's list flags: the single-value flag of their elements, and an
+# admissible list
+_ELEMENT_FLAG = {"--alphas": "--alpha", "--thetas": "--theta", "--a-list": "--a"}
+_SWEEP_LISTS = {"--alphas": "1.5", "--thetas": "0", "--a-list": "0.5"}
+_SWEEP_RUN = ["sweep", *TestExitCodes.SMALL_RUN,
+              *(f"{flag}={value}" for flag, value in _SWEEP_LISTS.items())]
+
+
+def _exits_2_naming(argv, flag):
+    """Run ``argv`` with a fresh ``--out``: it must exit 2 naming ``flag``
+    before it writes anything."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert not out.exists()
+    assert exc.value.code == 2
+    assert f"{flag}:" in err.getvalue()
+
+
 class TestRunFlagProperty:
     @pytest.mark.parametrize("flag", sorted(_REJECTED))
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_rejected_value_exits_2_naming_flag(self, flag, data):
         value = data.draw(_rejected_values(flag), label=flag)
-        err = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp:
-            out = Path(tmp) / "run"
-            argv = ["simulate", *TestExitCodes.SMALL_RUN, "--alpha", "1.5",
-                    "--theta", "0", f"{flag}={value}", "--out", str(out)]
-            with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert not out.exists()
-        assert exc.value.code == 2
-        assert f"{flag}:" in err.getvalue()
+        _exits_2_naming(["simulate", *TestExitCodes.SMALL_RUN, "--alpha", "1.5",
+                         "--theta", "0", f"{flag}={value}"], flag)
+
+    @pytest.mark.parametrize("flag", sorted(set(_REJECTED)
+                                            - set(_ELEMENT_FLAG.values())))
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_sweep_rejected_value_exits_2_naming_flag(self, flag, data):
+        value = data.draw(_rejected_values(flag), label=flag)
+        _exits_2_naming([*_SWEEP_RUN, f"{flag}={value}"], flag)
+
+    @pytest.mark.parametrize("flag", sorted(_SWEEP_LISTS))
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_sweep_rejected_element_exits_2_naming_list(self, flag, data):
+        # the rejected element follows an admissible one; a text that
+        # float_list parses could be a whole admissible list ("1.5,2")
+        value = data.draw((_REJECTED[_ELEMENT_FLAG[flag]] | _NONFINITE).map(repr)
+                          | _TEXT.filter(_unparsable_by(float_list)), label=flag)
+        _exits_2_naming([*_SWEEP_RUN, f"{flag}={_SWEEP_LISTS[flag]},{value}"],
+                        flag)

@@ -210,6 +210,22 @@ class TestAdaptiveRejections:
         with pytest.raises(StepUnderflowError):
             self.run(np.array([0.0, 1e-16, 1.0]))
 
+    def test_accepted_step_budget(self, monkeypatch):
+        # h = 0.5 is not stiff: 13 accepted steps and no rejection, so only
+        # the budget on accepted steps can stop the run
+        grid = Grid1D(10.0, 41)
+
+        def run():
+            return integrate(chen_ramp(grid.x), make_schedule(1.0, 2), self.cfg,
+                             grid, self.params, BistableCubic(0.5))
+
+        monkeypatch.setattr(fracfront.stepping, "MAX_STEPS", 13)
+        res = run()
+        assert (res.stats["steps"], res.stats["rejected_steps"]) == (13, 0)
+        monkeypatch.setattr(fracfront.stepping, "MAX_STEPS", 12)
+        with pytest.raises(StepLimitError, match="^exceeded MAX_STEPS = 12$"):
+            run()
+
 
 class TestIntegrate:
     def test_zero_horizon_returns_ic(self):
