@@ -31,21 +31,7 @@ from .diagnostics import (          # noqa: E402
     shift_matched_residual,
     step_profile,
 )
-from .errors import (               # noqa: E402
-    DegenerateCoefficientsError,
-    DivergedError,
-    FracfrontError,
-    GridTooSmallError,
-    InsufficientDecayError,
-    NoCrossingError,
-    NonFiniteError,
-    OutOfRangeError,
-    SingularSystemError,
-    StepLimitError,
-    StepUnderflowError,
-    UnsupportedError,
-    WindowTooSmallError,
-)
+from .errors import FracfrontError, OutOfRangeError  # noqa: E402
 from .grids import (                # noqa: E402
     FractionalParams,
     Grid1D,

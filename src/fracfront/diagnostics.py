@@ -14,12 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    InsufficientDecayError,
-    NoCrossingError,
-    OutOfRangeError,
-    WindowTooSmallError,
-)
+from .errors import FracfrontError, OutOfRangeError
 from .grids import FractionalParams, Grid1D, _integral_count, validate_state
 from .operators import riesz_feller_symbol
 from .reaction import BistableCubic
@@ -71,13 +66,13 @@ def front_position(u: np.ndarray, grid: Grid1D, level: float) -> float:
     """x where the profile crosses ``level``, by linear interpolation.
 
     If several cells bracket the level, the crossing nearest the origin is
-    returned.  Raises ``NoCrossingError`` when the profile never brackets it.
+    returned.  Raises ``FracfrontError`` when the profile never brackets it.
     """
     u = np.asarray(u, dtype=float)
     d = u - level
     bracket = np.nonzero((d[:-1] * d[1:] <= 0) & (u[:-1] != u[1:]))[0]
     if len(bracket) == 0:
-        raise NoCrossingError(f"profile never crosses level {level}")
+        raise FracfrontError(f"profile never crosses level {level}")
     x = grid.x
     crossings = x[bracket] + (level - u[bracket]) * (
         x[bracket + 1] - x[bracket]) / (u[bracket + 1] - u[bracket])
@@ -205,7 +200,7 @@ def estimate_decay_rate(result: SimulationResult,
     The residual of each snapshot against ``reference`` (default: the final
     snapshot, whose own residual is then 0 and not computed) is fitted as
     log r = log K - kappa t over the window where r lies in [1e-10, 1e-1].
-    Raises ``InsufficientDecayError`` when fewer than two residuals fall in
+    Raises ``FracfrontError`` when fewer than two residuals fall in
     that window.
     """
     if len(result.times) < 6:
@@ -218,7 +213,7 @@ def estimate_decay_rate(result: SimulationResult,
         for state in states] + own)
     mask = (residuals >= 1e-10) & (residuals <= 1e-1)
     if np.count_nonzero(mask) < 2:
-        raise InsufficientDecayError(
+        raise FracfrontError(
             "no usable residuals in [1e-10, 1e-1]; "
             "the run may already sit on the steady profile")
     ts = result.times[mask]
@@ -299,8 +294,9 @@ def green_function(params: FractionalParams, t: float, window: float = 200.0,
 
     Returns ``(x, g)`` on a uniform grid spanning ``[-window/2, window/2)``.
     The kernel is a heavy-tailed probability density (tails ~ |x|^(-1-alpha)),
-    so the window must be generous; ``WindowTooSmallError`` is raised when
-    the boundary density exceeds 1e-6 of the peak.
+    so the window must be generous; ``FracfrontError`` is raised when
+    the boundary density exceeds 1e-6 of the peak, or when a sample is not
+    finite (``|xi|^alpha`` overflows on a tiny window).
     """
     for name, value in (("t", t), ("window", window)):
         if not 0.0 < value < np.inf:
@@ -312,12 +308,16 @@ def green_function(params: FractionalParams, t: float, window: float = 200.0,
     dx = window / k_modes
     x = (np.arange(k_modes) - k_modes // 2) * dx
     xi = 2.0 * np.pi * np.fft.fftfreq(k_modes, d=dx)
-    ghat = np.exp(t * riesz_feller_symbol(params, xi))
-    phase = np.exp(-1j * xi * x[0])
-    g = (np.fft.fft(ghat * phase) / window).real
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        ghat = np.exp(t * riesz_feller_symbol(params, xi))
+        phase = np.exp(-1j * xi * x[0])
+        g = (np.fft.fft(ghat * phase) / window).real
+    if not np.all(np.isfinite(g)):
+        raise FracfrontError(f"the kernel at t = {t:g} sampled on window = "
+                             f"{window:g} with k_modes = {k_modes} is not finite")
     peak = float(g.max())
     if max(abs(g[0]), abs(g[-1])) > BOUNDARY_DENSITY_LIMIT * peak:
-        raise WindowTooSmallError(
+        raise FracfrontError(
             f"boundary density {max(abs(g[0]), abs(g[-1])):.3g} exceeds "
             f"{BOUNDARY_DENSITY_LIMIT:g} of the peak {peak:.3g}; "
             f"enlarge the window")

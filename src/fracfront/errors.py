@@ -1,8 +1,15 @@
-"""Exception types raised by fracfront."""
+"""Exception types raised by fracfront.
+
+There are two, one per failure exit code of the CLI.  ``OutOfRangeError``
+means an argument lies outside its admissible range: the CLI exits 2 and
+names the argument's flag.  ``FracfrontError`` is every other failure (a
+singular solve, a diverged run, a profile that never crosses its level, an
+unreadable file): the CLI exits 1.  The message says which failure it was.
+"""
 
 
 class FracfrontError(Exception):
-    """Base class for all fracfront errors."""
+    """A fracfront failure other than an argument out of range."""
 
 
 class OutOfRangeError(FracfrontError, ValueError):
@@ -15,47 +22,3 @@ class OutOfRangeError(FracfrontError, ValueError):
     def __init__(self, message: str, param=None):
         super().__init__(message)
         self.param = param
-
-
-class DegenerateCoefficientsError(FracfrontError, ValueError):
-    """Both integral-representation coefficients vanish (order exactly 2)."""
-
-
-class GridTooSmallError(OutOfRangeError):
-    """The grid cannot carry the requested quadrature sub-mesh."""
-
-
-class NonFiniteError(FracfrontError, ValueError):
-    """An array that must be finite contains NaN or Inf."""
-
-
-class UnsupportedError(FracfrontError, ValueError):
-    """The requested configuration is outside this backend's contract."""
-
-
-class SingularSystemError(FracfrontError, RuntimeError):
-    """The implicit linear solve failed (dt pathologically large or corrupt matrix)."""
-
-
-class StepUnderflowError(FracfrontError, RuntimeError):
-    """The adaptive step size collapsed below the resolvable scale."""
-
-
-class StepLimitError(FracfrontError, RuntimeError):
-    """The integrator exceeded its step budget."""
-
-
-class DivergedError(FracfrontError, RuntimeError):
-    """The solution magnitude exceeded the divergence threshold."""
-
-
-class NoCrossingError(FracfrontError, ValueError):
-    """The profile never brackets the requested level."""
-
-
-class InsufficientDecayError(FracfrontError, ValueError):
-    """No usable residual window for a decay-rate fit."""
-
-
-class WindowTooSmallError(FracfrontError, ValueError):
-    """Heavy-tailed density mass is not negligible at the window boundary."""

@@ -10,7 +10,9 @@ forced to zero.
 The spatial grid covers ``[-b, b]`` with an odd number of nodes so that the
 origin is a node.  The singular-integral quadrature reuses the grid spacing:
 its nodes are ``xi_j = j*h`` for ``j = 1..M`` with ``M = (n-1)/2``, so
-``xi_M = b`` lands on the domain edge exactly.
+``xi_M = b`` lands on the domain edge exactly.  Its largest power of a node
+is ``xi^(1+alpha) <= xi^3``, so ``b^3`` and ``h^3`` must be finite, normal
+doubles: h and b lie in about [2.8e-103, 5.6e102].
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooSmallError, NonFiniteError, OutOfRangeError
+from .errors import FracfrontError, OutOfRangeError
 
 
 def _integral_count(value, name: str) -> int:
@@ -34,6 +36,11 @@ def _integral_count(value, name: str) -> int:
         raise OutOfRangeError(f"{name} must be at most {largest}, got {int(value)}",
                               name)
     return int(value)
+
+
+def _cube_is_normal(value: float) -> bool:
+    """Whether ``value**3`` is a finite, normal double (False for NaN)."""
+    return np.finfo(float).tiny <= value * value * value < np.inf
 
 
 @dataclass(frozen=True)
@@ -78,9 +85,10 @@ class Grid1D:
 
     def __init__(self, b: float, n: int):
         b = float(b)
-        if not 0.0 < b < np.inf:
+        if not _cube_is_normal(b):
             raise OutOfRangeError(
-                f"grid half-width b must be positive and finite, got {b}", "b")
+                f"grid half-width b must be positive with a finite, normal cube "
+                f"(about 2.8e-103 <= b <= 5.6e102), got {b}", "b")
         n = _integral_count(n, "n")
         if not (n >= 3 and n % 2 == 1):
             raise OutOfRangeError(
@@ -89,6 +97,10 @@ class Grid1D:
         self.n = n
         self.m = (n - 1) // 2
         self.h = 2.0 * b / (n - 1)
+        if not _cube_is_normal(self.h):
+            raise OutOfRangeError(
+                f"grid spacing h = 2b/(n-1) = {self.h} must have a normal cube "
+                f"(h >= about 2.8e-103); b = {b} is too small for n = {n}", "b")
         x = (np.arange(n) - self.m) * self.h
         # snap the endpoints: j*h rounds within 1 ulp of +-b
         x[0] = -b
@@ -108,7 +120,7 @@ def quadrature_nodes_weights(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     composite-trapezoid weights on [h, b]: ``h/2, h, ..., h, h/2``.
     """
     if grid.m < 2:
-        raise GridTooSmallError(
+        raise OutOfRangeError(
             f"quadrature needs n >= 5 (M >= 2), got n={grid.n}", "n")
     w = np.full(grid.m, grid.h)
     w[0] = grid.h / 2
@@ -123,5 +135,5 @@ def validate_state(u: np.ndarray, grid: Grid1D) -> np.ndarray:
         raise OutOfRangeError(
             f"state has shape {u.shape}, grid expects ({grid.n},)")
     if not np.all(np.isfinite(u)):
-        raise NonFiniteError("state vector contains NaN or Inf")
+        raise FracfrontError("state vector contains NaN or Inf")
     return u

@@ -54,12 +54,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateCoefficientsError,
-    NonFiniteError,
-    SingularSystemError,
-    UnsupportedError,
-)
+from .errors import FracfrontError, OutOfRangeError
 from .grids import FractionalParams, Grid1D, quadrature_nodes_weights, validate_state
 
 # Largest n whose implicit solver is the dense inverse.  At 5-smooth FFT
@@ -83,8 +78,9 @@ def quadrature_coefficients(params: FractionalParams) -> tuple[float, float]:
     and ``assemble_operator_matrix`` uses the second difference instead.
     """
     if params.alpha == 2.0:
-        raise DegenerateCoefficientsError(
-            "c1 = c2 = 0 at alpha = 2; the operator is the second difference")
+        raise OutOfRangeError(
+            "c1 = c2 = 0 at alpha = 2; the operator is the second difference",
+            "alpha")
     g = math.gamma(1.0 + params.alpha)
     c1 = g * math.sin((params.alpha + params.theta) * math.pi / 2) / math.pi
     c2 = g * math.sin((params.alpha - params.theta) * math.pi / 2) / math.pi
@@ -224,8 +220,8 @@ class OperatorMatrix:
         M[np.diag_indices(self.grid.n)] += 1.0
         try:
             return np.linalg.inv(M)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise SingularSystemError(str(exc)) from exc
+        except np.linalg.LinAlgError as exc:
+            raise FracfrontError(str(exc)) from exc
 
 
 class ToeplitzSolver:
@@ -245,7 +241,7 @@ class ToeplitzSolver:
     and a 2-column Woodbury correction adds the folds.  Only O(n) arrays
     are held.  The solution is within 1e-16 * cond1(I - dt*A) of a dense LU
     solve, relative to its largest entry (tested up to cond1 = 4e5).  Raises
-    ``SingularSystemError`` when the recursion breaks down (a leading minor
+    ``FracfrontError`` when the recursion breaks down (a leading minor
     of T is singular) instead of returning NaN.
     """
 
@@ -274,7 +270,7 @@ class ToeplitzSolver:
         cap = np.eye(2) + z[[0, -1]]   # I + V^T T^-1 U, V = [e_0, e_(n-1)]
         det = cap[0, 0] * cap[1, 1] - cap[0, 1] * cap[1, 0]
         if det == 0.0 or not np.isfinite(det):
-            raise SingularSystemError(
+            raise FracfrontError(
                 f"boundary-fold correction is singular (det = {det})")
         self._fold = z @ np.linalg.inv(cap)   # n x 2
 
@@ -291,7 +287,7 @@ class ToeplitzSolver:
     def _levinson(col: np.ndarray, row: np.ndarray):
         """First and last columns of T^-1, T[i, j] = col[i - j] or row[j - i]."""
         if col[0] == 0.0 or not np.isfinite(col[0]):
-            raise SingularSystemError(f"Toeplitz diagonal is {col[0]}")
+            raise FracfrontError(f"Toeplitz diagonal is {col[0]}")
         f = g = np.array([1.0 / col[0]])
         for m in range(1, len(col)):
             # errors of the padded vectors [f, 0] and [0, g] in the new row
@@ -299,13 +295,13 @@ class ToeplitzSolver:
             eg = row[1:m + 1] @ g
             pivot = 1.0 - ef * eg
             if pivot == 0.0 or not np.isfinite(pivot):
-                raise SingularSystemError(
+                raise FracfrontError(
                     f"Levinson recursion broke down at order {m + 1}: "
                     f"pivot {pivot}")
             f0, g0 = np.append(f, 0.0), np.concatenate([[0.0], g])
             f, g = (f0 - ef * g0) / pivot, (g0 - eg * f0) / pivot
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
-            raise SingularSystemError("Levinson recursion overflowed")
+            raise FracfrontError("Levinson recursion overflowed")
         return f, g
 
     def _apply_t(self, r: np.ndarray) -> np.ndarray:
@@ -379,7 +375,7 @@ def apply_riesz_feller(
     u = validate_state(u, grid)
     v = assemble_operator_matrix(grid, params, tail_correction).matvec(u, ghosts)
     if not np.all(np.isfinite(v)):
-        raise NonFiniteError("operator output contains NaN or Inf")
+        raise FracfrontError("operator output contains NaN or Inf")
     return v
 
 
@@ -423,8 +419,9 @@ def grunwald_letnikov_operator(grid: Grid1D, alpha: float) -> OperatorMatrix:
     """
     alpha = float(alpha)
     if not 1.0 < alpha < 2.0:
-        raise UnsupportedError(
-            f"Grunwald-Letnikov backend requires 1 < alpha < 2, got {alpha}")
+        raise OutOfRangeError(
+            f"Grunwald-Letnikov backend requires 1 < alpha < 2, got {alpha}",
+            "alpha")
     n = grid.n
     norm = -1.0 / (2.0 * math.cos(alpha * math.pi / 2))
     g = grunwald_letnikov_weights(alpha, n + 1) * (norm / grid.h ** alpha)

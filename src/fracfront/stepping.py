@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DivergedError, OutOfRangeError, StepLimitError, StepUnderflowError
+from .errors import FracfrontError, OutOfRangeError
 from .grids import FractionalParams, Grid1D, _integral_count, validate_state
 from .operators import OperatorMatrix, assemble_operator_matrix
 from .reaction import BistableCubic
@@ -63,7 +63,8 @@ class StepperConfig:
 def make_schedule(t_final: float, snapshots: int) -> np.ndarray:
     """Uniform snapshot times 0 .. t_final (``snapshots`` entries).
 
-    A positive ``t_final`` needs at least 2 snapshots, the first at t = 0.
+    A positive ``t_final`` needs at least 2 snapshots, the first at t = 0,
+    and must be large enough that the times are distinct doubles.
     """
     if not 0.0 <= t_final < np.inf:
         raise OutOfRangeError(
@@ -75,7 +76,11 @@ def make_schedule(t_final: float, snapshots: int) -> np.ndarray:
                               f"{t_final}, got {snapshots}", "snapshots")
     if t_final == 0:
         return np.zeros(1)
-    return np.linspace(0.0, t_final, snapshots)
+    schedule = np.linspace(0.0, t_final, snapshots)
+    if np.any(np.diff(schedule) <= 0):
+        raise OutOfRangeError(f"t_final = {t_final} is too small for {snapshots} "
+                              f"distinct snapshot times", "t_final")
+    return schedule
 
 
 def _check_schedule(schedule: np.ndarray) -> np.ndarray:
@@ -162,6 +167,14 @@ def step_explicit_rk(u, f_u, dt_try, rhs, abs_tol, rel_tol):
 # driver
 # ---------------------------------------------------------------------------
 
+def _bounded(u: np.ndarray) -> tuple[float, float]:
+    """min and max of ``u``; ``FracfrontError`` past ``DIVERGENCE_THRESHOLD``."""
+    lo, hi = float(u.min()), float(u.max())   # NaN if any entry is NaN
+    if not -DIVERGENCE_THRESHOLD <= lo <= hi <= DIVERGENCE_THRESHOLD:
+        raise FracfrontError(f"|u| reached {max(-lo, hi):.3g}")
+    return lo, hi
+
+
 def integrate(
     ic: np.ndarray,
     schedule: np.ndarray,
@@ -178,26 +191,24 @@ def integrate(
     method splits each interval into the fewest equal steps of at most
     ``cfg.dt``, reusing the previous size where they differ only in
     roundoff; the adaptive method clips its proposals at the boundary).
-    Deterministic for fixed inputs.  Raises ``DivergedError`` if the
-    solution magnitude exceeds 1e6.
+    Deterministic for fixed inputs.  Raises ``FracfrontError`` if the
+    solution magnitude, the initial one included, exceeds 1e6.
     """
     schedule = _check_schedule(schedule)
     u = validate_state(ic, grid).copy()
+    lo, hi = _bounded(u)   # before the first f(u), which could overflow
     if operator is None:
         operator = assemble_operator_matrix(grid, params, tail_correction)
 
-    stats = {"steps": 0, "rejected_steps": 0,
-             "u_min": float(u.min()), "u_max": float(u.max())}
+    stats = {"steps": 0, "rejected_steps": 0, "u_min": lo, "u_max": hi}
     states = [u.copy()]
     wall0 = time.perf_counter()
 
     def bookkeep(v):
         stats["steps"] += 1
         if stats["steps"] > MAX_STEPS:
-            raise StepLimitError(f"exceeded MAX_STEPS = {MAX_STEPS}")
-        lo, hi = float(v.min()), float(v.max())   # NaN if any entry is NaN
-        if not -DIVERGENCE_THRESHOLD <= lo <= hi <= DIVERGENCE_THRESHOLD:
-            raise DivergedError(f"|u| reached {max(-lo, hi):.3g}")
+            raise FracfrontError(f"exceeded MAX_STEPS = {MAX_STEPS}")
+        lo, hi = _bounded(v)
         stats["u_min"] = min(stats["u_min"], lo)
         stats["u_max"] = max(stats["u_max"], hi)
 
@@ -208,7 +219,7 @@ def integrate(
         with np.errstate(over="ignore"):
             counts = np.maximum(np.ceil(spans / cfg.dt * (1 - 1e-12)), 1)
         if counts.sum() > MAX_STEPS:   # before any step is taken
-            raise StepLimitError(f"the schedule needs {counts.sum():.3g} steps of "
+            raise FracfrontError(f"the schedule needs {counts.sum():.3g} steps of "
                                  f"dt = {cfg.dt:g}, over MAX_STEPS = {MAX_STEPS}")
         stats.update(solver=operator.solver, solver_setup_s=0.0)
         step = cfg.dt
@@ -227,25 +238,28 @@ def integrate(
         def rhs(v):
             return operator.matvec(v) + nl.f(v)
 
-        dt, f_u = DT_INITIAL, rhs(u)
-        for t, t_end in zip(schedule[:-1], schedule[1:]):
-            while t < t_end:
-                clipped = dt > t_end - t
-                dt_try = min(dt, t_end - t)
-                if dt_try < 1e-14 * schedule[-1]:
-                    raise StepUnderflowError(f"dt = {dt_try:.3g} below 1e-14 * t_final")
-                u, f_u, dt_next, accepted = step_explicit_rk(
-                    u, f_u, dt_try, rhs, cfg.abs_tol, cfg.rel_tol)
-                if accepted:
-                    t = t_end if t_end - t <= dt_try else t + dt_try
-                    bookkeep(u)
-                else:
-                    stats["rejected_steps"] += 1
-                    if stats["rejected_steps"] > MAX_STEPS:
-                        raise StepLimitError("rejection loop exceeded MAX_STEPS")
-                # a boundary-clipped step must not shrink the controller state
-                dt = max(dt, dt_next) if (clipped and accepted) else dt_next
-            states.append(u.copy())
+        # a trial step whose stages overflow has a NaN or infinite error
+        # estimate and is rejected; bookkeep checks each accepted state
+        with np.errstate(over="ignore", invalid="ignore"):
+            dt, f_u = DT_INITIAL, rhs(u)
+            for t, t_end in zip(schedule[:-1], schedule[1:]):
+                while t < t_end:
+                    clipped = dt > t_end - t
+                    dt_try = min(dt, t_end - t)
+                    if dt_try < 1e-14 * schedule[-1]:
+                        raise FracfrontError(f"dt = {dt_try:.3g} below 1e-14 * t_final")
+                    u, f_u, dt_next, accepted = step_explicit_rk(
+                        u, f_u, dt_try, rhs, cfg.abs_tol, cfg.rel_tol)
+                    if accepted:
+                        t = t_end if t_end - t <= dt_try else t + dt_try
+                        bookkeep(u)
+                    else:
+                        stats["rejected_steps"] += 1
+                        if stats["rejected_steps"] > MAX_STEPS:
+                            raise FracfrontError("rejection loop exceeded MAX_STEPS")
+                    # a boundary-clipped step must not shrink the controller state
+                    dt = max(dt, dt_next) if (clipped and accepted) else dt_next
+                states.append(u.copy())
 
     stats["wall_time_s"] = time.perf_counter() - wall0
     return SimulationResult(times=schedule.copy(), states=np.array(states),

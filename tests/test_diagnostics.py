@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 from fracfront import (
     BistableCubic,
+    FracfrontError,
     FractionalParams,
     Grid1D,
-    InsufficientDecayError,
-    NoCrossingError,
     OutOfRangeError,
     SimulationResult,
     StepperConfig,
-    WindowTooSmallError,
     bounds_check,
     chen_ramp,
     comparison_test,
@@ -70,7 +68,7 @@ class TestFrontPosition:
 
     def test_no_crossing(self):
         g = Grid1D(30.0, 181)
-        with pytest.raises(NoCrossingError):
+        with pytest.raises(FracfrontError, match="^profile never crosses level 0.5$"):
             front_position(np.full(g.n, 0.3), g, 0.5)
 
     def test_whole_cell_translation_equivariance(self):
@@ -260,7 +258,8 @@ class TestDecayEstimate:
     def test_steady_run_has_nothing_to_fit(self):
         g = Grid1D(30.0, 181)
         states = np.array([chen_ramp(g.x)] * 8)
-        with pytest.raises(InsufficientDecayError):
+        with pytest.raises(FracfrontError,
+                           match=r"^no usable residuals in \[1e-10, 1e-1\]"):
             estimate_decay_rate(_fake_result(g, np.linspace(0, 7, 8), states))
 
     def test_synthetic_exponential_decay(self):
@@ -391,7 +390,8 @@ class TestGreenFunction:
         assert exc.value.param == name
 
     def test_heavy_tail_guard(self):
-        with pytest.raises(WindowTooSmallError):
+        with pytest.raises(FracfrontError,
+                           match="^boundary density .* enlarge the window$"):
             green_function(FractionalParams(1.5, 0.3), 1.0, window=100.0,
                            k_modes=2 ** 12)
 

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import fracfront
 from fracfront import (
-    DivergedError,
+    FracfrontError,
     FractionalParams,
     OutOfRangeError,
     RunConfig,
@@ -679,6 +679,84 @@ class TestExitCodes:
         assert json.loads((out / "manifest.json").read_text())["stats"]["steps"] == 1
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--alpha", "1.7", "--theta", "0.2", "--b", "1e-300"],
+        ["simulate", "--alpha", "1.7", "--theta", "0.2", "--b", "1e300", "--n", "5"],
+        ["simulate", "--alpha", "2", "--theta", "0", "--b", "1e160", "--n", "21"],
+        ["simulate", "--alpha", "1.7", "--theta", "0.2", "--b", "1e-120",
+         "--n", "21"],
+        ["simulate", "--alpha", "2", "--theta", "0", "--b", "1e308", "--n", "3"],
+        ["simulate", "--alpha", "1.7", "--theta", "0.2", "--b", "1e-100",
+         "--n", "1001"],
+        ["sweep", "--alphas", "1.5,1.7", "--thetas", "0.2", "--a-list", "0.5",
+         "--b", "1e-300"],
+    ], ids=["tiny-b", "huge-b", "huge-b-alpha2", "tiny-b-n21", "huge-b-n3",
+            "tiny-h", "sweep"])
+    def test_unrepresentable_half_width_exits_2(self, tmp_path, capsys, argv):
+        # the stencil's largest power, xi^(1+alpha) <= xi^3, must be a
+        # finite, normal double at xi = b and xi = h
+        out = tmp_path / "out"
+        err = self._exits_2([*argv, "--out", str(out)], capsys)
+        assert "--b: " in err and not out.exists()
+
+    @pytest.mark.parametrize("stepper", ["semi-implicit", "rk-adaptive"])
+    @pytest.mark.parametrize("b", ["1e-100", "5e102"])
+    def test_extreme_admissible_half_width_runs(self, tmp_path, capsys, b,
+                                                stepper):
+        out = tmp_path / "run"
+        assert main(["simulate", "--alpha", "1.7", "--theta", "0.2", "--b", b,
+                     "--n", "21", "--stepper", stepper, "--t-final", "1",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "" and _finite_outputs(out)
+
+    def test_dense_singular_system_exits_1(self, tmp_path, capsys):
+        # at h = 1e-51, I - dt*A has entries near 2e100 and no usable inverse
+        err = self._exits_1(["simulate", "--alpha", "2", "--theta", "0",
+                             "--b", "1e-50", "--n", "21",
+                             "--out", str(tmp_path / "run")], capsys)
+        assert err == "error: Singular matrix\n"
+
+    def test_nonfinite_kernel_exits_1(self, tmp_path, capsys):
+        # |xi|^alpha overflows at window = 1e-300, and the kernel is NaN
+        out = tmp_path / "g.csv"
+        err = self._exits_1(["green", "--alpha", "1.5", "--theta", "0",
+                             "--window", "1e-300", "--k-modes", "4",
+                             "--out", str(out)], capsys)
+        assert "is not finite" in err and not out.exists()
+
+    def test_collapsed_schedule_names_t_final(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        err = self._exits_2(["simulate", "--alpha", "1.7", "--theta", "0.2",
+                             "--t-final", "5e-324", "--snapshots", "3",
+                             "--out", str(out)], capsys)
+        assert "--t-final: t_final = 5e-324 is too small for 3 distinct" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stepper", ["semi-implicit", "rk-adaptive"])
+    def test_initial_state_past_divergence_bound_exits_1(
+            self, tmp_path, capsys, monkeypatch, stepper):
+        calls = []
+        monkeypatch.setattr(fracfront.BistableCubic, "f",
+                            lambda self, u: calls.append(1))
+        out = tmp_path / "run"
+        err = self._exits_1(["simulate", "--alpha", "1.7", "--theta", "0.2",
+                             "--ic", "step", "--step-hi", "1e300", "--n", "21",
+                             "--t-final", "1", "--stepper", stepper,
+                             "--out", str(out)], capsys)
+        assert err == "error: |u| reached 1e+300\n"
+        assert calls == [] and not out.exists()
+
+    def test_overflowing_trial_steps_are_rejected(self, tmp_path, capsys):
+        # from u = 1000 the first trial stages of rk-adaptive overflow; the
+        # controller rejects them and shrinks the step, with no warning
+        out = tmp_path / "run"
+        assert main(["simulate", "--alpha", "1.7", "--theta", "0.2", "--ic", "step",
+                     "--step-hi", "1000", "--n", "21", "--t-final", "1",
+                     "--stepper", "rk-adaptive", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "" and _finite_outputs(out)
+        stats = json.loads((out / "manifest.json").read_text())["stats"]
+        assert stats["rejected_steps"] > 0
+
     # 10**15 elements of 8 bytes are far past the 128 TiB user address space
     # of x86-64, so the allocation fails at once; no test here may use a
     # size that fits in memory
@@ -887,7 +965,7 @@ class TestParallelSweepErrors:
 
         def run(config, operator=None):
             if Path(config.out) == last:
-                raise DivergedError("solution diverged (test)")
+                raise FracfrontError("solution diverged (test)")
             return run_simulation(config, operator)
         monkeypatch.setattr("fracfront.cli.run_simulation", run)
 
@@ -1125,3 +1203,74 @@ class TestRunFlagProperty:
                           | _TEXT.filter(_unparsable_by(float_list)), label=flag)
         _exits_2_naming([*_SWEEP_RUN, f"{flag}={_SWEEP_LISTS[flag]},{value}"],
                         flag)
+
+
+# positive magnitudes from 1e-300 to 1e300: hypothesis's own floats, which
+# favour simple and boundary values, and a log-uniform spread of exponents
+_MAGNITUDES = (st.floats(min_value=1e-300, max_value=1e300)
+               | st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+                           st.floats(1.0, 9.99), st.integers(-300, 299)))
+_EXTREME_FLAGS = ("--b", "--step-lo", "--step-hi", "--t-final", "--window", "--t")
+
+
+def _extreme_argv(data) -> list:
+    """A tiny run (n <= 21) with one flag at an extreme magnitude."""
+    flag = data.draw(st.sampled_from(_EXTREME_FLAGS), label="flag")
+    value = data.draw(_MAGNITUDES, label="value")
+    alpha, theta = data.draw(st.sampled_from([("1.7", "0.2"), ("2", "0"),
+                                              ("1.5", "0.5")]), label="params")
+    if flag in ("--window", "--t"):
+        return ["green", "--alpha", alpha, "--theta", theta, "--k-modes", "64",
+                f"{flag}={value!r}"]
+    argv = ["simulate", "--alpha", alpha, "--theta", theta,
+            "--n", data.draw(st.sampled_from(["5", "21"]), label="n"),
+            "--b", "5", "--t-final", "0.1", "--dt", "0.05", "--snapshots", "3",
+            "--tail-correction" if data.draw(st.booleans(), label="tail")
+            else "--no-tail-correction"]
+    if flag != "--t-final":   # rk-adaptive keeps t_final = 0.1
+        argv += ["--stepper", data.draw(st.sampled_from(["semi-implicit",
+                                                         "rk-adaptive"]),
+                                        label="stepper")]
+    if flag.startswith("--step-"):
+        argv += ["--ic", "step"]
+        value *= data.draw(st.sampled_from([1.0, -1.0]), label="sign")
+    return [*argv, f"{flag}={value!r}"]
+
+
+def _finite_outputs(out: Path) -> bool:
+    """Whether every number in the CSV files and manifest under ``out`` is finite."""
+    values = []
+    for path in out.rglob("*.csv"):
+        header, *rows = path.read_text().splitlines()
+        values += [float(h.split("=", 1)[1]) for h in header.split(",") if "=" in h]
+        values += [float(v) for row in rows for v in row.split(",")]
+    for path in out.rglob("manifest.json"):
+        json.loads(path.read_text(),   # NaN, Infinity and -Infinity
+                   parse_constant=lambda text: values.append(float(text)))
+    return bool(np.all(np.isfinite(np.array(values, dtype=float))))
+
+
+class TestExtremeMagnitudeProperty:
+    # a lowered step budget ends every draw within a second: a tiny b makes
+    # the operator stiff, and rk-adaptive has no up-front budget
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_exits_0_1_or_2_and_writes_only_finite_values(self, data):
+        argv = _extreme_argv(data)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fracfront.stepping, "MAX_STEPS", 2000)
+            out = Path(tmp) / ("kernel.csv" if argv[0] == "green" else "run")
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    rc = main([*argv, "--out", str(out)])
+                except SystemExit as exc:   # argparse's exit 2
+                    rc = exc.code
+            finite = _finite_outputs(Path(tmp))
+        err = stderr.getvalue()
+        assert rc in (0, 1, 2) and "Traceback" not in err
+        if rc == 0:
+            assert err == "" and finite
+        else:
+            assert err.splitlines()[-1].count("error: ") == 1
+            assert rc == 2 or err.count("\n") == 1

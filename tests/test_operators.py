@@ -8,12 +8,11 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon
 
 from fracfront import (
-    DegenerateCoefficientsError,
+    FracfrontError,
     FractionalParams,
     Grid1D,
     OperatorMatrix,
-    SingularSystemError,
-    UnsupportedError,
+    OutOfRangeError,
     apply_riesz_feller,
     assemble_operator_matrix,
     free_space_reference,
@@ -85,7 +84,7 @@ class TestCoefficients:
         assert c2 == pytest.approx(0.24226912094291634, abs=1e-14)
 
     def test_degenerate_at_two(self):
-        with pytest.raises(DegenerateCoefficientsError):
+        with pytest.raises(OutOfRangeError, match="^c1 = c2 = 0 at alpha = 2"):
             quadrature_coefficients(FractionalParams(2.0, 0.0))
 
     def test_lattice_identities(self):
@@ -446,9 +445,11 @@ class TestToeplitzSolver:
     ])
     def test_breakdown_raises(self, weights, far):
         A = OperatorMatrix(Grid1D(10.0, 21), np.array(weights), far)
+        match = "^Toeplitz diagonal is nan$"
         if np.all(np.isfinite(weights)):
             assert np.linalg.det((np.eye(21) - A.entries)[:2, :2]) == 0.0
-        with pytest.raises(SingularSystemError):
+            match = "^Levinson recursion broke down at order 2: pivot 0.0$"
+        with pytest.raises(FracfrontError, match=match):
             ToeplitzSolver(A, 1.0)
 
     @pytest.mark.parametrize("alpha,theta", [(1.3, -0.5), (1.7, 0.2), (2.0, 0.0)])
@@ -541,7 +542,8 @@ class TestGrunwaldLetnikov:
 
     def test_requires_strictly_fractional_order(self):
         grid = Grid1D(1.0, 5)
-        with pytest.raises(UnsupportedError):
+        with pytest.raises(OutOfRangeError,
+                           match="^Grunwald-Letnikov backend requires 1 < alpha < 2"):
             grunwald_letnikov_apply(np.zeros(5), grid, 2.0)
 
 

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from fracfront import (
+    FracfrontError,
     FractionalParams,
     Grid1D,
-    GridTooSmallError,
-    NonFiniteError,
     OutOfRangeError,
     RunConfig,
     green_function,
@@ -72,6 +71,20 @@ class TestGrid:
         with pytest.raises(OutOfRangeError):
             Grid1D(b, n)
 
+    # b^3 and h^3 must be finite, normal doubles: b and h in about
+    # [2.81e-103, 5.64e102]
+    @pytest.mark.parametrize("b,n", [(5.6e102, 3), (5.6e102, 10001), (2.9e-103, 3),
+                                     (1e-100, 201)])
+    def test_extreme_half_widths_accepted(self, b, n):
+        g = Grid1D(b, n)
+        assert g.x[0] == -b and g.x[-1] == b and np.all(np.diff(g.x) > 0)
+
+    @pytest.mark.parametrize("b,n", [(5.7e102, 3), (2.8e-103, 3), (1e-100, 1001)])
+    def test_unrepresentable_half_widths_rejected(self, b, n):
+        with pytest.raises(OutOfRangeError) as exc:
+            Grid1D(b, n)
+        assert exc.value.param == "b"
+
     @pytest.mark.parametrize("name,n", [
         pytest.param("n", n, id=str(n))
         for n in (181.5, 181.7, float("nan"), float("inf"))] + [
@@ -118,7 +131,7 @@ class TestGrid:
         assert np.allclose(w, [0.25, 0.25], atol=0)
 
     def test_quadrature_mesh_too_small(self):
-        with pytest.raises(GridTooSmallError):
+        with pytest.raises(OutOfRangeError, match="^quadrature needs n >= 5"):
             quadrature_nodes_weights(Grid1D(1.0, 3))  # M = 1
 
 
@@ -130,5 +143,5 @@ class TestState:
     def test_nonfinite(self):
         u = np.zeros(7)
         u[3] = np.nan
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(FracfrontError, match="^state vector contains NaN or Inf$"):
             validate_state(u, Grid1D(1.0, 7))

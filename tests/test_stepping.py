@@ -9,14 +9,12 @@ from scipy.linalg import lu_factor, lu_solve
 import fracfront.stepping
 from fracfront import (
     BistableCubic,
-    DivergedError,
+    FracfrontError,
     FractionalParams,
     Grid1D,
     OperatorMatrix,
     OutOfRangeError,
-    StepLimitError,
     StepperConfig,
-    StepUnderflowError,
     assemble_operator_matrix,
     chen_ramp,
     integrate,
@@ -58,6 +56,14 @@ class TestConfig:
         with pytest.raises(OutOfRangeError) as exc:
             make_schedule(t_final, snapshots)
         assert exc.value.param == name
+
+    @pytest.mark.parametrize("t_final,snapshots", [(5e-324, 3), (1e-323, 4)])
+    def test_collapsed_schedule_names_t_final(self, t_final, snapshots):
+        # linspace rounds the subnormal times together
+        with pytest.raises(OutOfRangeError, match="distinct snapshot times") as exc:
+            make_schedule(t_final, snapshots)
+        assert exc.value.param == "t_final"
+        assert len(make_schedule(t_final, 2)) == 2
 
     def test_schedule_shapes(self):
         s = make_schedule(2.0, 5)
@@ -203,11 +209,11 @@ class TestAdaptiveRejections:
         # so the rejection count passes the budget before any step is taken
         monkeypatch.setattr(fracfront.stepping, "DT_INITIAL", 1.0)
         monkeypatch.setattr(fracfront.stepping, "MAX_STEPS", 2)
-        with pytest.raises(StepLimitError, match="rejection loop"):
+        with pytest.raises(FracfrontError, match="^rejection loop exceeded MAX_STEPS$"):
             self.run(make_schedule(1.0, 2))
 
     def test_step_underflow(self):
-        with pytest.raises(StepUnderflowError):
+        with pytest.raises(FracfrontError, match=r"below 1e-14 \* t_final$"):
             self.run(np.array([0.0, 1e-16, 1.0]))
 
     def test_accepted_step_budget(self, monkeypatch):
@@ -223,7 +229,7 @@ class TestAdaptiveRejections:
         res = run()
         assert (res.stats["steps"], res.stats["rejected_steps"]) == (13, 0)
         monkeypatch.setattr(fracfront.stepping, "MAX_STEPS", 12)
-        with pytest.raises(StepLimitError, match="^exceeded MAX_STEPS = 12$"):
+        with pytest.raises(FracfrontError, match="^exceeded MAX_STEPS = 12$"):
             run()
 
 
@@ -276,7 +282,7 @@ class TestIntegrate:
         g = Grid1D(10.0, 41)
         p = FractionalParams(1.5, 0.0)
         cfg = StepperConfig(method="semi-implicit", dt=0.5)
-        with pytest.raises(DivergedError):
+        with pytest.raises(FracfrontError, match=r"^\|u\| reached "):
             integrate(np.full(g.n, 2000.0), make_schedule(10.0, 3), cfg,
                       g, p, BistableCubic(0.5))
 
@@ -289,7 +295,7 @@ class TestIntegrate:
 
         g = Grid1D(10.0, 41)
         cfg = StepperConfig(method="semi-implicit", dt=0.1)
-        with pytest.raises(DivergedError, match="nan"):
+        with pytest.raises(FracfrontError, match=r"^\|u\| reached nan$"):
             integrate(chen_ramp(g.x), make_schedule(1.0, 3), cfg, g,
                       FractionalParams(1.5, 0.0), NaNAbove())
 
@@ -298,7 +304,8 @@ class TestIntegrate:
         g = Grid1D(10.0, 41)
         p = FractionalParams(1.5, 0.0)
         cfg = StepperConfig(method="semi-implicit", dt=0.001)
-        with pytest.raises(StepLimitError):
+        with pytest.raises(FracfrontError, match=r"^the schedule needs 1e\+03 steps "
+                           r"of dt = 0.001, over MAX_STEPS = 5$"):
             integrate(np.full(g.n, 0.3), make_schedule(1.0, 2), cfg, g, p,
                       BistableCubic(0.5))
 
