@@ -33,7 +33,7 @@ for alpha in (1.2, 1.5, 1.8):
     params = ff.FractionalParams(alpha, 0.0)
     u = gauss(grid.x)
     v_quad = ff.apply_riesz_feller(u, grid, params, tail_correction=True)
-    v_gl = ff.grunwald_letnikov_apply(u, grid, alpha)
+    v_gl = ff.grunwald_letnikov_operator(grid, alpha).matvec(u)
     mask = np.abs(grid.x) <= 5.0
     rel = np.max(np.abs(v_gl - v_quad)[mask]) / np.max(np.abs(v_quad[mask]))
     print(f"alpha = {alpha}: quadrature vs fractional differences "

@@ -43,7 +43,7 @@ from .operators import (            # noqa: E402
     apply_riesz_feller,
     assemble_operator_matrix,
     free_space_reference,
-    grunwald_letnikov_apply,
+    grunwald_letnikov_operator,
     grunwald_letnikov_weights,
     quadrature_coefficients,
     riesz_feller_symbol,

@@ -193,24 +193,19 @@ class ConvergenceReport:
     r_squared: float
 
 
-def estimate_decay_rate(result: SimulationResult,
-                        reference: Optional[np.ndarray] = None) -> ConvergenceReport:
+def estimate_decay_rate(result: SimulationResult) -> ConvergenceReport:
     """Exponential-decay fit of the shift-matched residual history.
 
-    The residual of each snapshot against ``reference`` (default: the final
-    snapshot, whose own residual is then 0 and not computed) is fitted as
-    log r = log K - kappa t over the window where r lies in [1e-10, 1e-1].
-    Raises ``FracfrontError`` when fewer than two residuals fall in
-    that window.
+    The residual of each snapshot against the final snapshot (whose own
+    residual is 0 and not computed) is fitted as log r = log K - kappa t
+    over the window where r lies in [1e-10, 1e-1].  Raises
+    ``FracfrontError`` when fewer than two residuals fall in that window.
     """
     if len(result.times) < 6:
         raise OutOfRangeError("decay fit needs at least 6 snapshots")
-    states, own = result.states, []
-    if reference is None:   # the final snapshot matches itself exactly
-        states, reference, own = states[:-1], result.final, [0.0]
     residuals = np.array([
-        shift_matched_residual(state, reference, result.grid)[0]
-        for state in states] + own)
+        shift_matched_residual(state, result.final, result.grid)[0]
+        for state in result.states[:-1]] + [0.0])
     mask = (residuals >= 1e-10) & (residuals <= 1e-1)
     if np.count_nonzero(mask) < 2:
         raise FracfrontError(

@@ -433,12 +433,6 @@ def grunwald_letnikov_operator(grid: Grid1D, alpha: float) -> OperatorMatrix:
     return OperatorMatrix(grid, weights, (far, far))
 
 
-def grunwald_letnikov_apply(u: np.ndarray, grid: Grid1D, alpha: float) -> np.ndarray:
-    """Apply ``grunwald_letnikov_operator(grid, alpha)`` to ``u``."""
-    op = grunwald_letnikov_operator(grid, alpha)
-    return op.matvec(validate_state(u, grid))
-
-
 def spectral_apply(u: np.ndarray, period: float, params: FractionalParams) -> np.ndarray:
     """Exact Fourier-multiplier application on a periodic grid.
 

@@ -171,31 +171,32 @@ def result_from_csv(path, a: Optional[float] = None) -> SimulationResult:
         raise FracfrontError(
             f"{path}: x column is not the uniform grid on [{x[0]!r}, {-x[0]!r}] "
             f"with {len(x)} nodes")
-    return SimulationResult(times=times, states=states, grid=grid,
-                            params=None, nl=nl)
+    return SimulationResult(times=times, states=states, grid=grid, nl=nl)
 
 
 # ---------------------------------------------------------------------------
 # manifest
 # ---------------------------------------------------------------------------
 
-def build_manifest(result: SimulationResult, diagnostics: dict,
-                   config: RunConfig) -> dict:
-    c1, c2 = ((None, None) if result.params.is_classical
-              else quadrature_coefficients(result.params))
+def build_manifest(config: RunConfig, stats: dict, diagnostics: dict) -> dict:
+    """The run manifest: the config, the values derived from it (grid step,
+    centre node, integral coefficients, potential gap), the run's ``stats``
+    and its ``diagnostics``."""
+    params, grid, nl, *_ = config.validated()
+    c1, c2 = (None, None) if params.is_classical else quadrature_coefficients(params)
     return {
         "version": __version__,
         # counts as ints, as the CLI writes them, also for an integral float
         "config": {**dataclasses.asdict(config), "n": int(config.n),
                    "snapshots": int(config.snapshots)},
         "derived": {
-            "h": result.grid.h,
-            "m": result.grid.m,
+            "h": grid.h,
+            "m": grid.m,
             "c1": c1,
             "c2": c2,
-            "potential_gap": result.nl.potential_gap(),
+            "potential_gap": nl.potential_gap(),
         },
-        "stats": result.stats,
+        "stats": stats,
         "diagnostics": diagnostics,
     }
 
@@ -208,7 +209,7 @@ def write_manifest(result: SimulationResult, diagnostics: dict,
                    config: RunConfig, path) -> None:
     path = Path(path)
     try:
-        path.write_text(json.dumps(build_manifest(result, diagnostics, config),
+        path.write_text(json.dumps(build_manifest(config, result.stats, diagnostics),
                                    indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise FracfrontError(f"cannot write manifest {path}: {exc}") from exc

@@ -25,7 +25,7 @@ from .operators import (
     apply_riesz_feller,
     assemble_operator_matrix,
     free_space_reference,
-    grunwald_letnikov_apply,
+    grunwald_letnikov_operator,
     quadrature_coefficients,
     riesz_feller_symbol,
 )
@@ -134,7 +134,7 @@ def check_grunwald() -> tuple[bool, str]:
         p = FractionalParams(alpha, 0.0)
         u = np.exp(-grid.x ** 2)
         v_quad = apply_riesz_feller(u, grid, p, tail_correction=True)
-        v_gl = grunwald_letnikov_apply(u, grid, alpha)
+        v_gl = grunwald_letnikov_operator(grid, alpha).matvec(u)
         mask = np.abs(grid.x) <= grid.b / 2
         rel = float(np.max(np.abs(v_gl - v_quad)[mask])
                     / np.max(np.abs(v_quad[mask])))

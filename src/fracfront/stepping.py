@@ -94,12 +94,11 @@ def _check_schedule(schedule: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SimulationResult:
-    """Snapshot series plus the grid, operator parameters and reaction."""
+    """Snapshot series plus the grid and reaction (the operator is the caller's)."""
 
     times: np.ndarray        # (k,)
     states: np.ndarray       # (k, n)
     grid: Grid1D
-    params: FractionalParams
     nl: BistableCubic
     stats: dict = field(default_factory=dict)
 
@@ -263,4 +262,4 @@ def integrate(
 
     stats["wall_time_s"] = time.perf_counter() - wall0
     return SimulationResult(times=schedule.copy(), states=np.array(states),
-                            grid=grid, params=params, nl=nl, stats=stats)
+                            grid=grid, nl=nl, stats=stats)

@@ -32,7 +32,7 @@ from fracfront import (
 def _fake_result(grid, times, states, a=0.5):
     return SimulationResult(times=np.asarray(times, dtype=float),
                             states=np.asarray(states), grid=grid,
-                            params=None, nl=BistableCubic(a), stats={})
+                            nl=BistableCubic(a), stats={})
 
 
 class TestInitialConditions:
@@ -269,14 +269,13 @@ class TestDecayEstimate:
         times = np.linspace(0.0, 12.0, 25)
         bump = np.exp(-g.x ** 2)
         states = np.array([base + 0.05 * np.exp(-kappa * t) * bump for t in times])
-        report = estimate_decay_rate(_fake_result(g, times, states),
-                                     reference=base)
+        # the reference profile is the final snapshot, which the fit matches against
+        report = estimate_decay_rate(_fake_result(g, np.append(times, 13.0),
+                                                  np.vstack([states, base])))
         assert report.decay_rate == pytest.approx(kappa, rel=0.05)
         assert report.r_squared >= 0.99
 
-    @pytest.mark.parametrize("given_reference", [False, True])
-    def test_final_snapshot_is_not_matched_against_itself(self, monkeypatch,
-                                                          given_reference):
+    def test_final_snapshot_is_not_matched_against_itself(self, monkeypatch):
         calls = []
 
         def counting(u1, u2, grid):
@@ -290,10 +289,9 @@ class TestDecayEstimate:
         times = np.linspace(0.0, 12.0, 25)
         states = np.array([base + 0.05 * np.exp(-0.8 * t) * np.exp(-g.x ** 2)
                            for t in times])
-        report = estimate_decay_rate(_fake_result(g, times, states),
-                                     reference=base if given_reference else None)
-        assert len(calls) == (25 if given_reference else 24)
-        assert (report.residuals[-1] == 0.0) != given_reference
+        report = estimate_decay_rate(_fake_result(g, times, states))
+        assert len(calls) == 24
+        assert report.residuals[-1] == 0.0
 
     # test_08's run, then the runs whose decay fits demos 02 and 06 print
     @pytest.mark.parametrize("alpha,a,ic,dt,t_final", [

@@ -79,7 +79,7 @@ class TestSnapshotCSV:
         result = SimulationResult(
             times=np.array([0.0, 1.0]),
             states=np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]),
-            grid=grid, params=None, nl=BistableCubic(0.5), stats={})
+            grid=grid, nl=BistableCubic(0.5), stats={})
         path = tmp_path / "tiny.csv"
         write_snapshot_csv(result, path)
         lines = path.read_text().splitlines()

@@ -16,7 +16,7 @@ from fracfront import (
     apply_riesz_feller,
     assemble_operator_matrix,
     free_space_reference,
-    grunwald_letnikov_apply,
+    grunwald_letnikov_operator,
     grunwald_letnikov_weights,
     quadrature_coefficients,
     riesz_feller_symbol,
@@ -26,7 +26,6 @@ from fracfront.operators import (
     DENSE_INVERSE_MAX_N,
     ToeplitzSolver,
     _fft_size,
-    grunwald_letnikov_operator,
 )
 from fracfront.selftest import admissible_lattice
 
@@ -518,7 +517,7 @@ class TestGrunwaldLetnikov:
         u = rng.standard_normal(13)
         grid = Grid1D(1.8, 13)
         for alpha in (1.2, 1.5, 1.8):
-            fast = grunwald_letnikov_apply(u, grid, alpha)
+            fast = grunwald_letnikov_operator(grid, alpha).matvec(u)
             slow = _gl_brute_force(u, grid.h, alpha)
             assert np.max(np.abs(fast - slow)) <= 1e-12
 
@@ -527,7 +526,7 @@ class TestGrunwaldLetnikov:
         # without it a fixed O(b^-alpha) defect survives all refinement
         for n in (181, 721, 6401):
             grid = Grid1D(30.0, n)
-            v = grunwald_letnikov_apply(np.full(n, 1.0), grid, 1.5)
+            v = grunwald_letnikov_operator(grid, 1.5).matvec(np.full(n, 1.0))
             assert np.max(np.abs(v)) * grid.h ** 1.5 <= 1e-12
 
     def test_agrees_with_quadrature_backend(self):
@@ -535,7 +534,7 @@ class TestGrunwaldLetnikov:
         p = FractionalParams(1.5, 0.0)
         u = GAUSS(grid.x)
         v_quad = apply_riesz_feller(u, grid, p, tail_correction=True)
-        v_gl = grunwald_letnikov_apply(u, grid, 1.5)
+        v_gl = grunwald_letnikov_operator(grid, 1.5).matvec(u)
         mask = np.abs(grid.x) <= 5.0
         rel = np.max(np.abs(v_gl - v_quad)[mask]) / np.max(np.abs(v_quad[mask]))
         assert rel <= 0.05
@@ -544,7 +543,7 @@ class TestGrunwaldLetnikov:
         grid = Grid1D(1.0, 5)
         with pytest.raises(OutOfRangeError,
                            match="^Grunwald-Letnikov backend requires 1 < alpha < 2"):
-            grunwald_letnikov_apply(np.zeros(5), grid, 2.0)
+            grunwald_letnikov_operator(grid, 2.0)
 
 
 # ---------------------------------------------------------------------------
