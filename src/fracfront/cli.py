@@ -314,7 +314,10 @@ def main(argv=None) -> int:
             args.parser.error(f"--{dest.replace('_', '-')}: expected a value, "
                               "got '--'")
     try:
-        return args.func(args.parser, args)
+        # every command rejects a non-finite result with its own error line,
+        # which says what a numpy warning would (forked workers inherit this)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args.parser, args)
     except (FracfrontError, OSError, MemoryError) as exc:
         if isinstance(exc, OutOfRangeError):
             dest = getattr(args, "run_flags", {}).get(exc.param, exc.param)

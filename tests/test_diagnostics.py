@@ -269,7 +269,7 @@ class TestDecayEstimate:
         times = np.linspace(0.0, 12.0, 25)
         bump = np.exp(-g.x ** 2)
         states = np.array([base + 0.05 * np.exp(-kappa * t) * bump for t in times])
-        # the reference profile is the final snapshot, which the fit matches against
+        # base, the profile the snapshots relax to, is the final snapshot
         report = estimate_decay_rate(_fake_result(g, np.append(times, 13.0),
                                                   np.vstack([states, base])))
         assert report.decay_rate == pytest.approx(kappa, rel=0.05)

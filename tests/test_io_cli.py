@@ -18,15 +18,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fracfront
 from fracfront import (
     FracfrontError,
     FractionalParams,
+    Grid1D,
     OutOfRangeError,
     RunConfig,
+    SimulationResult,
     apply_riesz_feller,
     assemble_operator_matrix,
     estimate_speed,
@@ -44,6 +46,13 @@ def _repr_csv(header, x, y) -> bytes:
     """Reference two-column CSV, written value by value with repr."""
     lines = [header] + [f"{repr(float(a))},{repr(float(b))}" for a, b in zip(x, y)]
     return ("\n".join(lines) + "\n").encode()
+
+
+def _write_snapshots(path, grid, states) -> None:
+    """A snapshot CSV of ``states`` at the times 0, 1, 2, ..."""
+    write_snapshot_csv(SimulationResult(times=np.arange(float(len(states))),
+                                        states=np.array(states), grid=grid,
+                                        nl=None), path)
 
 
 TINY = dict(alpha=1.8, theta=0.1, n=61, b=10.0, t_final=1.0, dt=0.05,
@@ -757,6 +766,57 @@ class TestExitCodes:
         stats = json.loads((out / "manifest.json").read_text())["stats"]
         assert stats["rejected_steps"] > 0
 
+    HUGE_STEP = ["--dt", "1e300", "--t-final", "1e300", "--snapshots", "2"]
+    STEP_START = ["--ic", "step", "--step-hi", "1e6"]
+
+    # each overflows in numpy (the dense inverse's setup, the explicit
+    # reaction, the Toeplitz solve's FFTs, the Toeplitz row) before the run
+    # rejects the non-finite value; no numpy warning may print before that
+    @pytest.mark.parametrize("argv,message", [
+        (["--n", "21", "--b", "1e-100"], "|u| reached nan"),
+        (STEP_START, "|u| reached inf"),
+        ([*STEP_START, "--n", "1201"], "|u| reached nan"),
+        (["--n", "1201", "--b", "1e-90"], "Toeplitz diagonal is inf"),
+    ], ids=["dense-inverse", "reaction", "toeplitz-solve", "toeplitz-row"])
+    def test_overflowing_step_exits_1_without_warnings(self, tmp_path, capsys,
+                                                       argv, message):
+        out = tmp_path / "run"
+        err = self._exits_1(["simulate", "--alpha", "1.7", "--theta", "0.2",
+                             *argv, *self.HUGE_STEP, "--out", str(out)], capsys)
+        assert err == f"error: {message}\n"
+
+    def test_overflowing_sweep_workers_print_no_warnings(self, tmp_path, capfd,
+                                                         monkeypatch):
+        _cpus(monkeypatch, 2)
+        assert main(["sweep", "--alphas", "1.7,1.5", "--thetas", "0.2",
+                     "--a-list", "0.5", "--n", "1201", *self.STEP_START,
+                     *self.HUGE_STEP, "--out", str(tmp_path / "runs")]) == 1
+        assert capfd.readouterr().err == "error: |u| reached nan\n"
+
+    def test_overflowing_apply_exits_1_without_warnings(self, tmp_path, capsys):
+        grid = Grid1D(10.0, 21)
+        path = tmp_path / "huge.csv"
+        _write_snapshots(path, grid, [np.where(grid.x > 0, 1.7e308, 0.0)])
+        err = self._exits_1(["apply", "--alpha", "1.5", "--theta", "0.3",
+                             "--input", str(path),
+                             "--out", str(tmp_path / "a.csv")], capsys)
+        assert err == "error: operator output contains NaN or Inf\n"
+
+    @pytest.mark.parametrize("height", [1e300, 1.7e308])
+    def test_speed_of_a_huge_front_prints_no_warnings(self, tmp_path, capsys,
+                                                      height):
+        # the front's products overflow in front_position, and at 1.7e308
+        # the sum of two whole-cell residuals in the shift-matching bound
+        grid = Grid1D(10.0, 21)
+        _write_snapshots(tmp_path / "snapshots.csv", grid,
+                         [height * np.clip((grid.x - 0.5 * t) / 4 + 0.5, 0, 1)
+                          for t in range(8)])
+        (tmp_path / "manifest.json").write_text('{"config": {"a": 0.5}}')
+        assert main(["speed", "--run", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert np.isfinite(json.loads(captured.out)["speed"])
+
     # 10**15 elements of 8 bytes are far past the 128 TiB user address space
     # of x86-64, so the allocation fails at once; no test here may use a
     # size that fits in memory
@@ -1210,31 +1270,57 @@ class TestRunFlagProperty:
 _MAGNITUDES = (st.floats(min_value=1e-300, max_value=1e300)
                | st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
                            st.floats(1.0, 9.99), st.integers(-300, 299)))
-_EXTREME_FLAGS = ("--b", "--step-lo", "--step-hi", "--t-final", "--window", "--t")
+_SIGNED_MAGNITUDES = st.builds(lambda value, sign: sign * value, _MAGNITUDES,
+                               st.sampled_from([1.0, -1.0]))
+# "--dt" draws --dt and --t-final together; "--input" and "--run" draw the
+# values of the profile that apply and speed read
+_EXTREME_FLAGS = ("--b", "--step-lo", "--step-hi", "--t-final", "--dt", "--window",
+                  "--t", "--input", "--run")
+_PROFILE_B = 5.0   # the half-width of the profiles apply and speed read
 
 
-def _extreme_argv(data) -> list:
-    """A tiny run (n <= 21) with one flag at an extreme magnitude."""
-    flag = data.draw(st.sampled_from(_EXTREME_FLAGS), label="flag")
-    value = data.draw(_MAGNITUDES, label="value")
-    alpha, theta = data.draw(st.sampled_from([("1.7", "0.2"), ("2", "0"),
-                                              ("1.5", "0.5")]), label="params")
+@st.composite
+def _extreme_cases(draw):
+    """A tiny CLI run (n <= 21) with one flag, or --dt with --t-final, at an
+    extreme magnitude, or on a profile of extreme values.
+
+    Returns ``(argv, states)``: the snapshots (k, n) on ``Grid1D(5, n)``
+    that the run reads, or None when it reads none.  Paths are relative.
+    """
+    flag = draw(st.sampled_from(_EXTREME_FLAGS), label="flag")
+    alpha, theta = draw(st.sampled_from([("1.7", "0.2"), ("2", "0"),
+                                         ("1.5", "0.5")]), label="params")
     if flag in ("--window", "--t"):
         return ["green", "--alpha", alpha, "--theta", theta, "--k-modes", "64",
-                f"{flag}={value!r}"]
-    argv = ["simulate", "--alpha", alpha, "--theta", theta,
-            "--n", data.draw(st.sampled_from(["5", "21"]), label="n"),
+                f"{flag}={draw(_MAGNITUDES, label='value')!r}",
+                "--out", "kernel.csv"], None
+    tail = ("--tail-correction" if draw(st.booleans(), label="tail")
+            else "--no-tail-correction")
+    n = draw(st.sampled_from([5, 21]), label="n")
+    if flag in ("--input", "--run"):
+        count = 1 if flag == "--input" else draw(st.integers(1, 8), label="snapshots")
+        states = np.reshape(draw(st.lists(_SIGNED_MAGNITUDES, min_size=count * n,
+                                          max_size=count * n), label="values"),
+                            (count, n))
+        if flag == "--run":
+            return ["speed", "--run", "run"], states
+        mode = draw(st.sampled_from(["projection", "freespace"]), label="mode")
+        return ["apply", "--alpha", alpha, "--theta", theta, tail, "--mode", mode,
+                "--input", "profile.csv", "--out", "applied.csv"], states
+    argv = ["simulate", "--alpha", alpha, "--theta", theta, "--n", str(n),
             "--b", "5", "--t-final", "0.1", "--dt", "0.05", "--snapshots", "3",
-            "--tail-correction" if data.draw(st.booleans(), label="tail")
-            else "--no-tail-correction"]
-    if flag != "--t-final":   # rk-adaptive keeps t_final = 0.1
-        argv += ["--stepper", data.draw(st.sampled_from(["semi-implicit",
-                                                         "rk-adaptive"]),
-                                        label="stepper")]
+            tail, "--out", "run"]
+    if flag not in ("--t-final", "--dt"):   # rk-adaptive keeps t_final = 0.1
+        argv += ["--stepper", draw(st.sampled_from(["semi-implicit",
+                                                    "rk-adaptive"]),
+                                   label="stepper")]
+    if flag == "--dt":
+        argv.append(f"--t-final={draw(_MAGNITUDES, label='t_final')!r}")
+    value = draw(_MAGNITUDES, label="value")
     if flag.startswith("--step-"):
         argv += ["--ic", "step"]
-        value *= data.draw(st.sampled_from([1.0, -1.0]), label="sign")
-    return [*argv, f"{flag}={value!r}"]
+        value *= draw(st.sampled_from([1.0, -1.0]), label="sign")
+    return [*argv, f"{flag}={value!r}"], None
 
 
 def _finite_outputs(out: Path) -> bool:
@@ -1253,17 +1339,31 @@ def _finite_outputs(out: Path) -> bool:
 class TestExtremeMagnitudeProperty:
     # a lowered step budget ends every draw within a second: a tiny b makes
     # the operator stiff, and rk-adaptive has no up-front budget
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(data=st.data())
-    def test_exits_0_1_or_2_and_writes_only_finite_values(self, data):
-        argv = _extreme_argv(data)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=_extreme_cases())
+    # the Toeplitz solver's setup and solve at a huge step
+    @example(case=(["simulate", "--alpha", "1.7", "--theta", "0.2", "--n", "1201",
+                    "--ic", "step", "--step-hi", "1e6", "--snapshots", "2",
+                    "--dt=1e+300", "--t-final=1e+300", "--out", "run"], None))
+    @example(case=(["simulate", "--alpha", "1.7", "--theta", "0.2", "--n", "1201",
+                    "--b=1e-90", "--dt=1e+300", "--t-final=1e+300", "--out", "run"],
+                   None))
+    def test_exits_0_1_or_2_and_writes_only_finite_values(self, case):
+        argv, states = case
         stdout, stderr = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(fracfront.stepping, "MAX_STEPS", 2000)
-            out = Path(tmp) / ("kernel.csv" if argv[0] == "green" else "run")
+            mp.chdir(tmp)
+            if argv[0] == "speed":
+                Path("run").mkdir()
+                Path("run/manifest.json").write_text('{"config": {"a": 0.5}}')
+            if states is not None:
+                _write_snapshots("run/snapshots.csv" if argv[0] == "speed"
+                                 else "profile.csv",
+                                 Grid1D(_PROFILE_B, states.shape[1]), states)
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 try:
-                    rc = main([*argv, "--out", str(out)])
+                    rc = main(argv)
                 except SystemExit as exc:   # argparse's exit 2
                     rc = exc.code
             finite = _finite_outputs(Path(tmp))
@@ -1271,6 +1371,12 @@ class TestExtremeMagnitudeProperty:
         assert rc in (0, 1, 2) and "Traceback" not in err
         if rc == 0:
             assert err == "" and finite
+            if argv[0] == "speed":   # it prints its numbers as JSON
+                json.loads(stdout.getvalue(), parse_constant=_reject_nonfinite)
         else:
             assert err.splitlines()[-1].count("error: ") == 1
             assert rc == 2 or err.count("\n") == 1
+
+
+def _reject_nonfinite(text):
+    raise AssertionError(f"speed printed {text}")

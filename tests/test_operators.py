@@ -451,6 +451,23 @@ class TestToeplitzSolver:
         with pytest.raises(FracfrontError, match=match):
             ToeplitzSolver(A, 1.0)
 
+    def test_levinson_overflow_raises(self):
+        # the order-2 pivot is 2^-52 against entries of 1e300, so the
+        # updated columns overflow; the CLI runs with overflow warnings off
+        col = np.array([1e-300, 1e-300])
+        row = np.array([1e-300, (1 - 2 ** -52) * 1e-300])
+        with np.errstate(all="ignore"), pytest.raises(
+                FracfrontError, match="^Levinson recursion overflowed$"):
+            ToeplitzSolver._levinson(col, row)
+
+    def test_singular_fold_correction_raises(self):
+        # T = I, and folds of +-2^30 give the 2 x 2 correction
+        # [[1 - 2^30, 2^30], [-2^30, 1 + 2^30]], whose determinant 1 rounds to 0
+        A = OperatorMatrix(Grid1D(10.0, 21), np.zeros(3), (2.0 ** 30, -2.0 ** 30))
+        with pytest.raises(FracfrontError, match=(
+                r"^boundary-fold correction is singular \(det = 0\.0\)$")):
+            ToeplitzSolver(A, 1.0)
+
     @pytest.mark.parametrize("alpha,theta", [(1.3, -0.5), (1.7, 0.2), (2.0, 0.0)])
     def test_odd_transform_length(self, alpha, theta):
         # 2n - 1 = 2025 = 3^4 5^2 is itself the transform length
