@@ -80,10 +80,26 @@ def front_position(u: np.ndarray, grid: Grid1D, level: float) -> float:
 
 
 def _fit_line(ts: np.ndarray, ys: np.ndarray):
-    """Least-squares ``ys ~ slope * ts + intercept``: slope, intercept, residuals."""
-    design = np.vstack([ts, np.ones_like(ts)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, ys, rcond=None)
-    return slope, intercept, ys - design @ [slope, intercept]
+    """Least-squares ``ys ~ slope * ts + intercept``: slope, intercept, residuals.
+
+    The closed form runs in the scaled time tau = (t - t0) / (t_last - t0),
+    which lies in [0, 1], so times far from 1 cost no digits.  Raises
+    ``FracfrontError`` when the slope or the intercept is not finite, e.g.
+    when the time span overflows or is too short for the slope.
+    """
+    with np.errstate(all="ignore"):   # checked below
+        span = ts[-1] - ts[0]
+        tau = (ts - ts[0]) / span
+        tau_mean, y_mean = tau.mean(), ys.mean()
+        dtau, dy = tau - tau_mean, ys - y_mean
+        slope_tau = np.sum(dtau * dy) / np.sum(dtau * dtau)
+        slope = slope_tau / span
+        intercept = y_mean - slope_tau * tau_mean - slope * ts[0]
+        resid = dy - slope_tau * dtau
+    if not (np.isfinite(slope) and np.isfinite(intercept)):
+        raise FracfrontError(f"line fit over t in [{ts[0]:g}, {ts[-1]:g}] is not "
+                             f"finite (slope {slope:g}, intercept {intercept:g})")
+    return slope, intercept, resid
 
 
 @dataclass

@@ -288,18 +288,27 @@ class ToeplitzSolver:
         """First and last columns of T^-1, T[i, j] = col[i - j] or row[j - i]."""
         if col[0] == 0.0 or not np.isfinite(col[0]):
             raise FracfrontError(f"Toeplitz diagonal is {col[0]}")
-        f = g = np.array([1.0 / col[0]])
-        for m in range(1, len(col)):
+        n = len(col)
+        # order m holds f in f[:m] and g right-aligned in g[n - m:], so the
+        # padded vectors [f, 0] and [0, g] are views of the zeroed buffers
+        f, g, scratch = np.zeros(n), np.zeros(n), np.empty((2, n))
+        f[0] = g[-1] = 1.0 / col[0]
+        for m in range(1, n):
             # errors of the padded vectors [f, 0] and [0, g] in the new row
-            ef = col[m:0:-1] @ f
-            eg = row[1:m + 1] @ g
+            ef = col[m:0:-1] @ f[:m]
+            eg = row[1:m + 1] @ g[n - m:]
             pivot = 1.0 - ef * eg
             if pivot == 0.0 or not np.isfinite(pivot):
                 raise FracfrontError(
                     f"Levinson recursion broke down at order {m + 1}: "
                     f"pivot {pivot}")
-            f0, g0 = np.append(f, 0.0), np.concatenate([[0.0], g])
-            f, g = (f0 - ef * g0) / pivot, (g0 - eg * f0) / pivot
+            f0, g0 = f[:m + 1], g[n - m - 1:]
+            ef_g0 = np.multiply(ef, g0, out=scratch[0, :m + 1])
+            eg_f0 = np.multiply(eg, f0, out=scratch[1, :m + 1])
+            f0 -= ef_g0
+            f0 /= pivot
+            g0 -= eg_f0
+            g0 /= pivot
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
             raise FracfrontError("Levinson recursion overflowed")
         return f, g

@@ -7,9 +7,10 @@ the exact doubles; identical configurations therefore produce
 byte-identical files.
 
 Read-back rejects what no run writes: ``read_profile_csv`` refuses NaN or
-Inf times and values, and ``result_from_csv`` refuses an x column that
-is not exactly the uniform grid ``Grid1D(-x[0], n).x`` it rebuilds, so
-diagnostics never run on data the grid does not describe.
+Inf times and values and times that do not strictly increase, and
+``result_from_csv`` refuses an x column that is not exactly the uniform grid
+``Grid1D(-x[0], n).x`` it rebuilds, so diagnostics never run on data the
+grid does not describe.
 """
 
 from __future__ import annotations
@@ -153,6 +154,8 @@ def read_profile_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise FracfrontError(f"{path}: {exc}") from exc
     if not (np.all(np.isfinite(data)) and np.all(np.isfinite(times))):
         raise FracfrontError(f"{path}: contains NaN or Inf values")
+    if not np.all(np.diff(times) > 0):
+        raise FracfrontError(f"{path}: snapshot times do not strictly increase")
     return data[:, 0], times, data[:, 1:].T
 
 

@@ -11,6 +11,7 @@ from fracfront import (
     FractionalParams,
     Grid1D,
     OutOfRangeError,
+    RunConfig,
     SimulationResult,
     StepperConfig,
     bounds_check,
@@ -24,9 +25,13 @@ from fracfront import (
     make_ic,
     make_ordered_ic_pair,
     make_schedule,
+    result_from_csv,
+    run_simulation,
     shift_matched_residual,
     step_profile,
+    write_snapshot_csv,
 )
+from fracfront.diagnostics import _fit_line
 
 
 def _fake_result(grid, times, states, a=0.5):
@@ -111,6 +116,105 @@ class TestSpeed:
         states = np.array([chen_ramp(g.x)] * 3)
         with pytest.raises(OutOfRangeError):
             estimate_speed(_fake_result(g, [0.0, 1.0, 2.0], states))
+
+
+def _lstsq_line(ts, ys):
+    """Reference line fit: LAPACK least squares on the centred, scaled problem.
+
+    The design [tau - mean(tau), 1] has orthogonal columns and the data are
+    centred, so the solve loses no digits to times or values far from 0.
+    """
+    span = ts[-1] - ts[0]
+    tau = (ts - ts[0]) / span
+    design = np.column_stack([tau - tau.mean(), np.ones_like(ts)])
+    coef, *_ = np.linalg.lstsq(design, ys - ys.mean(), rcond=None)
+    slope = coef[0] / span
+    intercept = ys.mean() + coef[1] - coef[0] * tau.mean() - slope * ts[0]
+    return slope, intercept, ys - ys.mean() - design @ coef
+
+
+def _translating_ramps(grid, count):
+    """``count`` ramps whose 0.5 crossing moves one cell per ramp, from -3h on."""
+    return np.array([np.clip((grid.x - (k - 3) * grid.h) / (4 * grid.h) + 0.5,
+                             0.0, 1.0) for k in range(count)])
+
+
+class TestLineFit:
+    @staticmethod
+    def _assert_matches_lstsq(ts, ys):
+        slope, intercept, resid = _fit_line(ts, ys)
+        ref_slope, ref_intercept, ref_resid = _lstsq_line(ts, ys)
+        assert slope == pytest.approx(ref_slope, rel=1e-12)
+        # the intercept extrapolates to t = 0: relative to the terms it sums
+        assert abs(intercept - ref_intercept) <= 1e-12 * (
+            abs(ref_intercept) + abs(ref_slope * ts[0]))
+        assert np.max(np.abs(resid - ref_resid)) <= 1e-12 * np.max(np.abs(ys))
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_matches_lstsq_on_random_data(self, offset):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            count = int(rng.integers(2, 30))
+            ts = offset + np.cumsum(rng.uniform(0.1, 2.0, count))
+            slope = rng.uniform(0.1, 3.0) * rng.choice([-1.0, 1.0])
+            ys = rng.uniform(-5, 5) + slope * ts + 0.1 * rng.standard_normal(count)
+            self._assert_matches_lstsq(ts, ys)
+
+    def test_two_points_lie_on_the_line(self):
+        ts, ys = np.array([3.0, 7.5]), np.array([1.0, -2.0])
+        self._assert_matches_lstsq(ts, ys)
+        slope, intercept, resid = _fit_line(ts, ys)
+        assert slope == pytest.approx(-3.0 / 4.5, rel=1e-15)
+        assert np.max(np.abs(resid)) <= 1e-15
+
+    def test_matches_lstsq_on_a_default_run(self):
+        result, _ = run_simulation(RunConfig(alpha=1.7, theta=0.2))
+        ts, fronts = np.array(estimate_speed(result).front_track).T
+        assert np.array_equal(ts, make_schedule(20.0, 21)[11:])
+        self._assert_matches_lstsq(ts, fronts)
+
+    def test_times_far_from_one(self, tmp_path):
+        # times 1e307 ... 8e307, and the front moves one cell (h = 1) per
+        # 1e307; the fit window holds 5e307 ... 8e307
+        g = Grid1D(10.0, 21)
+        times = 1e307 * np.arange(1.0, 9.0)
+        write_snapshot_csv(_fake_result(g, times, _translating_ramps(g, len(times))),
+                           tmp_path / "snapshots.csv")
+        est = estimate_speed(result_from_csv(tmp_path / "snapshots.csv", a=0.5))
+        assert est.speed == pytest.approx(1e-307, rel=1e-12)
+
+    # the suite turns numpy warnings into errors, so neither case may warn
+    @pytest.mark.parametrize("ts", [
+        np.array([-1e308, -5e307, 5e307, 1e308]),   # the span overflows
+        1e-320 * np.arange(4.0),                      # the slope overflows
+    ], ids=["span-overflows", "slope-overflows"])
+    def test_non_finite_fit_raises(self, ts):
+        with pytest.raises(FracfrontError, match="is not finite"):
+            _fit_line(ts, np.arange(4.0))
+        g = Grid1D(10.0, 21)
+        with pytest.raises(FracfrontError, match="is not finite"):
+            estimate_speed(_fake_result(g, ts, _translating_ramps(g, len(ts))),
+                           fit_window=1.0)
+
+    def test_no_fit_calls_lstsq(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg.lstsq was called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+        g = Grid1D(10.0, 21)
+        times = np.arange(8.0)
+        assert estimate_speed(_fake_result(
+            g, times, _translating_ramps(g, len(times)))).speed == pytest.approx(1.0)
+        g = Grid1D(30.0, 181)
+        base = 1.0 / (1.0 + np.exp(-g.x))
+        times = np.linspace(0.0, 12.0, 25)
+        states = [base + 0.05 * np.exp(-0.8 * t) * np.exp(-g.x ** 2) for t in times]
+        report = estimate_decay_rate(_fake_result(g, np.append(times, 13.0),
+                                                  np.vstack([states, base])))
+        assert report.decay_rate == pytest.approx(0.8, rel=0.05)
+        _, diag = run_simulation(RunConfig(alpha=1.5, theta=0.39, n=401,
+                                           t_final=5.0, stepper="rk-adaptive"))
+        assert diag["speed"] is not None and diag["decay_rate"] is not None
 
 
 class TestShiftMatching:

@@ -48,9 +48,9 @@ def _repr_csv(header, x, y) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _write_snapshots(path, grid, states) -> None:
-    """A snapshot CSV of ``states`` at the times 0, 1, 2, ..."""
-    write_snapshot_csv(SimulationResult(times=np.arange(float(len(states))),
+def _write_snapshots(path, grid, times, states) -> None:
+    """A snapshot CSV of ``states`` at ``times``."""
+    write_snapshot_csv(SimulationResult(times=np.array(times, dtype=float),
                                         states=np.array(states), grid=grid,
                                         nl=None), path)
 
@@ -410,6 +410,8 @@ class TestExitCodes:
         "nan_value": "x,u@t=0\n-1,0.1\n0,nan\n1,0.3\n",
         "inf_time": "x,u@t=inf\n-1,0.1\n0,0.2\n1,0.3\n",
         "off_grid_x": "x,u@t=0\n-1,0.1\n0.5,0.2\n1,0.3\n",
+        "repeated_time": "x,u@t=1,u@t=1\n-1,0.1,0.1\n0,0.2,0.2\n1,0.3,0.3\n",
+        "decreasing_time": "x,u@t=2,u@t=1\n-1,0.1,0.1\n0,0.2,0.2\n1,0.3,0.3\n",
     }
     SMALL_RUN = ["--n", "21", "--b", "5", "--t-final", "0.1", "--dt", "0.05",
                  "--snapshots", "2"]
@@ -432,10 +434,11 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {path}")
         assert not (tmp_path / "a.csv").exists()
 
-    @pytest.mark.parametrize("defect", ["nan_cells", "shifted_x"])
+    @pytest.mark.parametrize("defect", ["nan_cells", "shifted_x", "repeated_times"])
     def test_speed_unrepresentable_csv_exits_1(self, tmp_path, capsys, defect):
         # a readable file whose diagnostics would silently skip the
-        # non-finite cells or use a grid its x column does not hold
+        # non-finite cells, use a grid its x column does not hold, or fit a
+        # line to times that do not increase
         assert main(["simulate", "--alpha", "1.8", "--theta", "0.1",
                      "--n", "61", "--b", "10", "--t-final", "2.0",
                      "--dt", "0.05", "--snapshots", "11",
@@ -444,6 +447,8 @@ class TestExitCodes:
         header, *rows = [ln.split(",") for ln in csv.read_text().splitlines()]
         if defect == "nan_cells":
             rows[10][1] = rows[20][3] = "nan"
+        elif defect == "repeated_times":
+            header[1:] = ["u@t=1"] * (len(header) - 1)
         else:   # every x after the first moved by +5
             for row in rows[1:]:
                 row[0] = repr(float(row[0]) + 5.0)
@@ -796,7 +801,7 @@ class TestExitCodes:
     def test_overflowing_apply_exits_1_without_warnings(self, tmp_path, capsys):
         grid = Grid1D(10.0, 21)
         path = tmp_path / "huge.csv"
-        _write_snapshots(path, grid, [np.where(grid.x > 0, 1.7e308, 0.0)])
+        _write_snapshots(path, grid, [0.0], [np.where(grid.x > 0, 1.7e308, 0.0)])
         err = self._exits_1(["apply", "--alpha", "1.5", "--theta", "0.3",
                              "--input", str(path),
                              "--out", str(tmp_path / "a.csv")], capsys)
@@ -808,7 +813,7 @@ class TestExitCodes:
         # the front's products overflow in front_position, and at 1.7e308
         # the sum of two whole-cell residuals in the shift-matching bound
         grid = Grid1D(10.0, 21)
-        _write_snapshots(tmp_path / "snapshots.csv", grid,
+        _write_snapshots(tmp_path / "snapshots.csv", grid, np.arange(8.0),
                          [height * np.clip((grid.x - 0.5 * t) / 4 + 0.5, 0, 1)
                           for t in range(8)])
         (tmp_path / "manifest.json").write_text('{"config": {"a": 0.5}}')
@@ -1272,55 +1277,74 @@ _MAGNITUDES = (st.floats(min_value=1e-300, max_value=1e300)
                            st.floats(1.0, 9.99), st.integers(-300, 299)))
 _SIGNED_MAGNITUDES = st.builds(lambda value, sign: sign * value, _MAGNITUDES,
                                st.sampled_from([1.0, -1.0]))
-# "--dt" draws --dt and --t-final together; "--input" and "--run" draw the
-# values of the profile that apply and speed read
-_EXTREME_FLAGS = ("--b", "--step-lo", "--step-hi", "--t-final", "--dt", "--window",
-                  "--t", "--input", "--run")
+# "--input" and "--run" draw the values of the profile that apply and speed read
+_EXTREME_FLAGS = ("--b", "--step-lo", "--step-hi", "--t-final", "--window", "--t",
+                  "--input", "--run")
 _PROFILE_B = 5.0   # the half-width of the profiles apply and speed read
+_PARAMS = st.sampled_from([("1.7", "0.2"), ("2", "0"), ("1.5", "0.5")])
+_TAIL = st.sampled_from(["--tail-correction", "--no-tail-correction"])
+
+
+def _tiny_simulate(draw) -> list:
+    """A tiny simulate run (n <= 21) at drawn parameters, writing to ``run``."""
+    alpha, theta = draw(_PARAMS, label="params")
+    n = draw(st.sampled_from([5, 21]), label="n")
+    return ["simulate", "--alpha", alpha, "--theta", theta, "--n", str(n),
+            "--b", "5", "--t-final", "0.1", "--dt", "0.05", "--snapshots", "3",
+            draw(_TAIL, label="tail"), "--out", "run"]
 
 
 @st.composite
 def _extreme_cases(draw):
-    """A tiny CLI run (n <= 21) with one flag, or --dt with --t-final, at an
-    extreme magnitude, or on a profile of extreme values.
+    """A tiny CLI run (n <= 21) with one flag at an extreme magnitude, or on
+    a profile of extreme values.
 
-    Returns ``(argv, states)``: the snapshots (k, n) on ``Grid1D(5, n)``
-    that the run reads, or None when it reads none.  Paths are relative.
+    Returns ``(argv, snapshots)``: the times and the snapshots (k, n) on
+    ``Grid1D(5, n)`` that the run reads, or None when it reads none.  Paths
+    are relative.
     """
     flag = draw(st.sampled_from(_EXTREME_FLAGS), label="flag")
-    alpha, theta = draw(st.sampled_from([("1.7", "0.2"), ("2", "0"),
-                                         ("1.5", "0.5")]), label="params")
     if flag in ("--window", "--t"):
+        alpha, theta = draw(_PARAMS, label="params")
         return ["green", "--alpha", alpha, "--theta", theta, "--k-modes", "64",
                 f"{flag}={draw(_MAGNITUDES, label='value')!r}",
                 "--out", "kernel.csv"], None
-    tail = ("--tail-correction" if draw(st.booleans(), label="tail")
-            else "--no-tail-correction")
-    n = draw(st.sampled_from([5, 21]), label="n")
     if flag in ("--input", "--run"):
-        count = 1 if flag == "--input" else draw(st.integers(1, 8), label="snapshots")
+        alpha, theta = draw(_PARAMS, label="params")
+        n = draw(st.sampled_from([5, 21]), label="n")
+        # at --fit-window 1, speed fits all 4 to 8 snapshots
+        count = 1 if flag == "--input" else draw(st.integers(4, 8), label="snapshots")
         states = np.reshape(draw(st.lists(_SIGNED_MAGNITUDES, min_size=count * n,
                                           max_size=count * n), label="values"),
                             (count, n))
-        if flag == "--run":
-            return ["speed", "--run", "run"], states
+        if flag == "--run":   # increasing times, as every run writes them
+            times = sorted(draw(st.lists(_MAGNITUDES, min_size=count,
+                                         max_size=count, unique=True),
+                                label="times"))
+            return ["speed", "--run", "run", "--fit-window", "1"], (times, states)
         mode = draw(st.sampled_from(["projection", "freespace"]), label="mode")
-        return ["apply", "--alpha", alpha, "--theta", theta, tail, "--mode", mode,
-                "--input", "profile.csv", "--out", "applied.csv"], states
-    argv = ["simulate", "--alpha", alpha, "--theta", theta, "--n", str(n),
-            "--b", "5", "--t-final", "0.1", "--dt", "0.05", "--snapshots", "3",
-            tail, "--out", "run"]
-    if flag not in ("--t-final", "--dt"):   # rk-adaptive keeps t_final = 0.1
+        return ["apply", "--alpha", alpha, "--theta", theta,
+                draw(_TAIL, label="tail"), "--mode", mode,
+                "--input", "profile.csv", "--out", "applied.csv"], ([0.0], states)
+    argv = _tiny_simulate(draw)
+    if flag != "--t-final":   # rk-adaptive keeps t_final = 0.1
         argv += ["--stepper", draw(st.sampled_from(["semi-implicit",
                                                     "rk-adaptive"]),
                                    label="stepper")]
-    if flag == "--dt":
-        argv.append(f"--t-final={draw(_MAGNITUDES, label='t_final')!r}")
     value = draw(_MAGNITUDES, label="value")
     if flag.startswith("--step-"):
         argv += ["--ic", "step"]
         value *= draw(st.sampled_from([1.0, -1.0]), label="sign")
     return [*argv, f"{flag}={value!r}"], None
+
+
+@st.composite
+def _extreme_steps(draw):
+    """A tiny semi-implicit run with --t-final and --dt both at extreme
+    magnitudes, as ``(argv, None)``."""
+    return [*_tiny_simulate(draw),
+            f"--t-final={draw(_MAGNITUDES, label='t_final')!r}",
+            f"--dt={draw(_MAGNITUDES, label='dt')!r}"], None
 
 
 def _finite_outputs(out: Path) -> bool:
@@ -1337,10 +1361,13 @@ def _finite_outputs(out: Path) -> bool:
 
 
 class TestExtremeMagnitudeProperty:
-    # a lowered step budget ends every draw within a second: a tiny b makes
-    # the operator stiff, and rk-adaptive has no up-front budget
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(case=_extreme_cases())
+    def test_exits_0_1_or_2_and_writes_only_finite_values(self, case):
+        self._check(case)
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(case=_extreme_steps())
     # the Toeplitz solver's setup and solve at a huge step
     @example(case=(["simulate", "--alpha", "1.7", "--theta", "0.2", "--n", "1201",
                     "--ic", "step", "--step-hi", "1e6", "--snapshots", "2",
@@ -1348,8 +1375,14 @@ class TestExtremeMagnitudeProperty:
     @example(case=(["simulate", "--alpha", "1.7", "--theta", "0.2", "--n", "1201",
                     "--b=1e-90", "--dt=1e+300", "--t-final=1e+300", "--out", "run"],
                    None))
-    def test_exits_0_1_or_2_and_writes_only_finite_values(self, case):
-        argv, states = case
+    def test_joint_step_and_end_time_exit_0_1_or_2(self, case):
+        self._check(case)
+
+    @staticmethod
+    def _check(case):
+        # a lowered step budget ends every draw within a second: a tiny b makes
+        # the operator stiff, and rk-adaptive has no up-front budget
+        argv, snapshots = case
         stdout, stderr = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(fracfront.stepping, "MAX_STEPS", 2000)
@@ -1357,10 +1390,11 @@ class TestExtremeMagnitudeProperty:
             if argv[0] == "speed":
                 Path("run").mkdir()
                 Path("run/manifest.json").write_text('{"config": {"a": 0.5}}')
-            if states is not None:
+            if snapshots is not None:
+                times, states = snapshots
                 _write_snapshots("run/snapshots.csv" if argv[0] == "speed"
                                  else "profile.csv",
-                                 Grid1D(_PROFILE_B, states.shape[1]), states)
+                                 Grid1D(_PROFILE_B, states.shape[1]), times, states)
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 try:
                     rc = main(argv)

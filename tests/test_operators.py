@@ -460,6 +460,27 @@ class TestToeplitzSolver:
                 FracfrontError, match="^Levinson recursion overflowed$"):
             ToeplitzSolver._levinson(col, row)
 
+    @pytest.mark.parametrize("theta", [-0.25, 0.0, 0.25])
+    def test_levinson_matches_the_allocating_recursion(self, theta):
+        # the in-place buffers repeat the same operations in the same order
+        def allocating(col, row):
+            f = g = np.array([1.0 / col[0]])
+            for m in range(1, len(col)):
+                ef, eg = col[m:0:-1] @ f, row[1:m + 1] @ g
+                pivot = 1.0 - ef * eg
+                f0, g0 = np.append(f, 0.0), np.concatenate([[0.0], g])
+                f, g = (f0 - ef * g0) / pivot, (g0 - eg * f0) / pivot
+            return f, g
+
+        n, dt = 1201, 0.02
+        A = assemble_operator_matrix(Grid1D(30.0, n), FractionalParams(1.5, theta))
+        m = len(A.weights) // 2
+        t = -dt * np.pad(A.weights, n - 1 - m)
+        t[n - 1] = 1.0 + dt * A.row_sum
+        col, row = t[n - 1::-1].copy(), t[n - 1:]
+        for got, want in zip(ToeplitzSolver._levinson(col, row), allocating(col, row)):
+            assert np.array_equal(got, want)
+
     def test_singular_fold_correction_raises(self):
         # T = I, and folds of +-2^30 give the 2 x 2 correction
         # [[1 - 2^30, 2^30], [-2^30, 1 + 2^30]], whose determinant 1 rounds to 0
