@@ -120,7 +120,8 @@ def estimate_speed(result: SimulationResult, level: Optional[float] = None,
         level = result.nl.a
     if not abs(level) < np.inf:
         raise OutOfRangeError(f"level must be finite, got {level}", "level")
-    k0 = int(math.ceil(len(result.times) * (1.0 - fit_window)))
+    # the last floor(count * fit_window), an integer up to rounding counting as itself
+    k0 = len(result.times) - int(len(result.times) * fit_window * (1 + 1e-12))
     ts = result.times[k0:]
     if len(ts) < 4:   # the run is at fault when no window would reach 4
         raise OutOfRangeError(f"speed fit needs at least 4 snapshots in the "
@@ -138,9 +139,6 @@ def estimate_speed(result: SimulationResult, level: Optional[float] = None,
 # ---------------------------------------------------------------------------
 # profile distance modulo translation
 # ---------------------------------------------------------------------------
-
-SCAN_BLOCK_DOUBLES = 16384      # block of the whole-cell scan (128 KiB)
-
 
 def _cell_minimum(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
     """Exact minimum over t in [0, 1] of ``max_j |d_j - t e_j|``, and its t.
@@ -173,25 +171,25 @@ def shift_matched_residual(u1: np.ndarray, u2: np.ndarray,
     """L-inf distance between u2 and its best-matching translate of u1.
 
     The rows, windows of ``u1`` padded with its end values, are its translates
-    by whole cells.  One pass scans those in [-b/2, b/2], in blocks of about
-    ``SCAN_BLOCK_DOUBLES`` doubles (one row when n is larger).  Between rows k
-    and k + 1 the translate is their blend, so the residual there changes by
-    at most L = max|diff u1| and stays above (vals_k + vals_(k+1) - L) / 2.
-    ``_cell_minimum`` searches the cells in order of that bound until it
-    reaches the best value found: the result is the minimum over all shifts
-    in [-b/2, b/2].  Returns ``(residual, shift)``, ``u2 ~ u1(. - shift)``.
+    by whole cells in [-b/2, b/2]; between rows k and k + 1 the translate is
+    their blend.  Each row's residual is bounded below by its value at every
+    ``isqrt(n)``-th node, and across a cell the residual changes by at most
+    L = max|diff u1|, so it stays above (low_k + low_(k+1) - L) / 2 there.
+    ``_cell_minimum`` searches the cells in order of that bound, from the
+    zero shift's residual (so ties keep 0), until the bound reaches the best
+    value found: the result is the minimum over all shifts in [-b/2, b/2].
+    Returns ``(residual, shift)``, ``u2 ~ u1(. - shift)``.
     """
     u1, u2 = validate_state(u1, grid), validate_state(u2, grid)
     n, h = grid.n, grid.h
-    kmax = int(grid.b / 2 / h)
+    kmax = (n - 1) // 4   # b / 2 / h in integers
     # scan[k + kmax] is u1 translated by k cells, |k| <= kmax
     scan = np.lib.stride_tricks.sliding_window_view(np.pad(u1, kmax, "edge"), n)[::-1]
-    rows = max(1, SCAN_BLOCK_DOUBLES // n)
-    vals = np.concatenate([np.abs(u2 - scan[r:r + rows]).max(axis=1)
-                           for r in range(0, len(scan), rows)])
-    i = kmax if vals[kmax] == vals.min() else int(np.argmin(vals))   # ties keep 0
-    best, shift = float(vals[i]), float(i)
-    lower = np.maximum(vals[:-1] + vals[1:] - np.max(np.abs(np.diff(u1))), 0.0) / 2
+    best, shift = float(np.max(np.abs(u2 - u1))), float(kmax)
+    low = np.zeros(2 * kmax + 1)
+    for j in range(0, n, math.isqrt(n)):   # node j of every row at once
+        np.maximum(low, np.abs(u2[j] - scan[:, j]), out=low)
+    lower = np.maximum(low[:-1] + low[1:] - np.max(np.abs(np.diff(u1))), 0.0) / 2
     while lower.size and lower.min() < best:
         k = int(np.argmin(lower))
         lower[k] = np.inf

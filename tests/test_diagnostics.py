@@ -31,7 +31,7 @@ from fracfront import (
     step_profile,
     write_snapshot_csv,
 )
-from fracfront.diagnostics import _fit_line
+from fracfront.diagnostics import _cell_minimum, _fit_line
 
 
 def _fake_result(grid, times, states, a=0.5):
@@ -116,6 +116,18 @@ class TestSpeed:
         states = np.array([chen_ramp(g.x)] * 3)
         with pytest.raises(OutOfRangeError):
             estimate_speed(_fake_result(g, [0.0, 1.0, 2.0], states))
+
+    # 1 - 0.7 is 0.30000000000000004, so a window counted from 1 - fit_window
+    # fitted 6 of 10, 13 of 20 and 20 of 30 snapshots
+    @pytest.mark.parametrize("fit_window,count,fitted", [
+        (0.7, 10, 7), (0.7, 20, 14), (0.7, 30, 21), (0.45, 100, 45),
+        (0.5, 21, 10), (0.5, 11, 5), (1.0, 10, 10)])
+    def test_window_counts_its_snapshots(self, fit_window, count, fitted):
+        g = Grid1D(30.0, 241)   # the 100th ramp crosses at x = 24.25
+        result = _fake_result(g, np.arange(float(count)), _translating_ramps(g, count))
+        est = estimate_speed(result, fit_window=fit_window)
+        assert len(est.front_track) == fitted
+        assert est.speed == pytest.approx(g.h, rel=1e-12)
 
 
 def _lstsq_line(ts, ys):
@@ -220,10 +232,10 @@ class TestLineFit:
 class TestShiftMatching:
     def test_identical_profiles(self):
         g = Grid1D(30.0, 181)
-        u = chen_ramp(g.x)
-        residual, shift = shift_matched_residual(u, u, g)
-        assert residual == 0.0
-        assert shift == 0.0
+        for u in (chen_ramp(g.x), np.full(g.n, 0.3)):   # a ramp, then a flat profile
+            residual, shift = shift_matched_residual(u, u, g)
+            assert residual == 0.0
+            assert shift == 0.0
 
     def test_exact_grid_translation(self):
         g = Grid1D(30.0, 181)
@@ -241,12 +253,24 @@ class TestShiftMatching:
         assert residual <= 5e-3          # linear-interpolation floor
         assert shift == pytest.approx(s, abs=0.05)
 
+    @pytest.mark.parametrize("n", [401, 801, 1601])
+    def test_translate_by_half_the_domain(self, n):
+        # b / 2 / h is 399.99999999999994 at (7, 1601), and truncating it
+        # once left the last whole cell out of the scan
+        g = Grid1D(7.0, n)
+        u = chen_ramp(g.x)
+        cells = (n - 1) // 4
+        residual, shift = shift_matched_residual(
+            u, np.concatenate([np.full(cells, u[0]), u[:-cells]]), g)
+        assert residual == 0.0
+        assert shift == pytest.approx(g.b / 2, rel=1e-15)
+
 
 def _whole_cell_residuals(u1, u2, grid):
     """The per-shift scan: one np.interp per whole-cell shift in [-b/2, b/2],
     as the library computed it before the blocked window scan."""
     x = grid.x
-    kmax = int(grid.b / 2 / grid.h)
+    kmax = (grid.n - 1) // 4   # b / 2 / h in integers
     return [float(np.max(np.abs(u2 - np.interp(x - k * grid.h, x, u1))))
             for k in range(-kmax, kmax + 1)]
 
@@ -304,7 +328,7 @@ class TestShiftScanMatchesReference:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 0.5 * 2 ** 20   # the full 801 x 1601 difference is 9.8 MiB
+        assert peak <= 128 * 2 ** 10   # the full 801 x 1601 difference is 9.8 MiB
 
     def test_wrong_shape_reference_is_rejected(self):
         g = Grid1D(30.0, 181)
@@ -340,7 +364,7 @@ class TestShiftMatchingIsMinimal:
         got, _ = shift_matched_residual(u1, u2, grid)
         # 40 shifts per cell over the whole cells in [-b/2, b/2], the range
         # the function scans
-        kmax = int(grid.b / 2 / grid.h)
+        kmax = (grid.n - 1) // 4
         shifts = np.arange(-40 * kmax, 40 * kmax + 1) * (grid.h / 40)
         dense = min(float(np.max(np.abs(u2 - np.interp(grid.x - s, grid.x, u1))))
                     for s in shifts)
@@ -356,6 +380,53 @@ class TestShiftMatchingIsMinimal:
         assert residual == pytest.approx(0.5290513314161185, abs=1e-12)
         assert np.max(np.abs(np.interp(g.x - shift, g.x, u))) == pytest.approx(
             residual, abs=1e-12)
+
+
+def _scan_then_cells(u1, u2, grid):
+    """The shift matching that scanned every whole-cell row before the cells:
+    the same cell search, its bound read from the exact row residuals."""
+    n, h = grid.n, grid.h
+    kmax = (n - 1) // 4
+    scan = np.lib.stride_tricks.sliding_window_view(np.pad(u1, kmax, "edge"), n)[::-1]
+    vals = np.array([np.max(np.abs(u2 - row)) for row in scan])
+    i = kmax if vals[kmax] == vals.min() else int(np.argmin(vals))   # ties keep 0
+    best, shift = float(vals[i]), float(i)
+    lower = np.maximum(vals[:-1] + vals[1:] - np.max(np.abs(np.diff(u1))), 0.0) / 2
+    while lower.size and lower.min() < best:
+        k = int(np.argmin(lower))
+        lower[k] = np.inf
+        r, t = _cell_minimum(u2 - scan[k], scan[k + 1] - scan[k])
+        if r < best:
+            best, shift = r, k + t
+    return best, float((shift - kmax) * h)
+
+
+class TestCellSearchMatchesScanThenCells:
+    @pytest.mark.parametrize("config", [
+        RunConfig(alpha=1.7, theta=0.2, n=1601),
+        RunConfig(alpha=1.5, theta=0.39, n=1601, t_final=5.0, snapshots=11,
+                  stepper="rk-adaptive", abs_tol=1e-6, rel_tol=1e-6)],
+        ids=["semi-implicit", "rk-adaptive"])
+    def test_equal_on_every_snapshot(self, config):
+        result, _ = run_simulation(config)
+        for state in result.states:
+            assert (shift_matched_residual(state, result.final, result.grid)
+                    == _scan_then_cells(state, result.final, result.grid))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_agrees_on_drawn_profiles(self, data):
+        n = data.draw(st.integers(1, 800)) * 2 + 1   # up to 1601: strides above 1
+        grid = Grid1D(data.draw(st.floats(1.0, 50.0)), n)
+        profiles = st.one_of(_front(grid), _profiles(grid))
+        u1, u2 = data.draw(profiles), data.draw(profiles)
+        assert shift_matched_residual(u1, u1, grid) == (0.0, 0.0)
+        got, _ = shift_matched_residual(u1, u2, grid)
+        ref, _ = _scan_then_cells(u1, u2, grid)
+        # the last row is reached only as a cell's far end, whose residual
+        # (u2 - s_k) - (s_(k+1) - s_k) may differ from the row's in the last bit
+        floor = 4 * np.finfo(float).eps * max(np.max(np.abs(u1)), np.max(np.abs(u2)))
+        assert abs(got - ref) <= floor
 
 
 class TestDecayEstimate:

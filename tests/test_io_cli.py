@@ -352,6 +352,16 @@ class TestCLI:
         assert out["decay_rate"] is None and out["decay_r_squared"] is None
         assert out["speed"] < 0
 
+    # 1 - 0.7 is 0.30000000000000004, which once fitted 6 of 10 and 13 of 20
+    @pytest.mark.parametrize("snapshots,fitted", [("10", 7), ("20", 14)])
+    def test_speed_fit_window_counts_its_snapshots(self, tmp_path, capsys,
+                                                   snapshots, fitted):
+        main(self._simulate_args(tmp_path / "run", **{"--snapshots": snapshots}))
+        capsys.readouterr()
+        assert main(["speed", "--run", str(tmp_path / "run"),
+                     "--fit-window", "0.7"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["front_track"]) == fitted
+
     def test_sweep_layout(self, tmp_path, capsys):
         rc = main(["sweep", "--alphas", "1.5", "--thetas=-0.1,0.1",
                    "--a-list", "0.5", "--n", "61", "--b", "10",
