@@ -56,6 +56,7 @@ from .runio import (                # noqa: E402
     read_profile_csv,
     result_from_csv,
     run_simulation,
+    run_simulations,
     write_manifest,
     write_snapshot_csv,
 )
@@ -63,6 +64,7 @@ from .stepping import (             # noqa: E402
     SimulationResult,
     StepperConfig,
     integrate,
+    integrate_group,
     make_schedule,
     step_explicit_rk,
     step_semi_implicit,

@@ -9,9 +9,11 @@ Exit codes: 0 success; 1 unreadable input file or runtime failure (an
 array too large to allocate included); 2 bad flag, option or config-file
 value (the message names the flag).
 
-``simulate`` runs as a sweep of one configuration.  Above
-``DENSE_INVERSE_MAX_N`` nodes a sweep runs its (alpha, theta) groups in
-forked workers (README): each step there is numpy FFT work on one thread,
+``simulate`` runs as a sweep of one configuration.  A sweep's (alpha,
+theta) group, whose configurations differ only in a, is one integration
+(``run_simulations``): semi-implicit steps them as one stack.  Above
+``DENSE_INVERSE_MAX_N`` nodes a sweep runs its groups in forked
+workers (README): each step there is numpy FFT work on one thread,
 while at or below it a semi-implicit step is a BLAS mat-vec that spreads
 over every core (an rk-adaptive sweep, FFT work at every n, runs in-process
 there too until a benchmark workload measures it).  Python 3.12+ warns
@@ -34,15 +36,14 @@ from . import __version__
 from .diagnostics import estimate_speed, green_function
 from .errors import FracfrontError, OutOfRangeError
 from .grids import FractionalParams
-from .operators import (DENSE_INVERSE_MAX_N, apply_riesz_feller,
-                        assemble_operator_matrix)
+from .operators import DENSE_INVERSE_MAX_N, apply_riesz_feller
 from .runio import (
     CONFIG_TYPES,
     RunConfig,
     decay_diagnostics,
     read_config_file,
     result_from_csv,
-    run_simulation,
+    run_simulations,
     write_columns,
     write_manifest,
     write_snapshot_csv,
@@ -110,9 +111,8 @@ def _cmd_simulate(parser, args) -> int:
     return 0
 
 
-def _run_and_write(config: RunConfig, operator) -> str:
-    """Run ``config``, write its outputs and return its summary line."""
-    result, diag = run_simulation(config, operator)
+def _write(config: RunConfig, result, diag: dict) -> str:
+    """Write the outputs of ``config``'s run and return its summary line."""
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_snapshot_csv(result, out_dir / "snapshots.csv")
@@ -183,22 +183,20 @@ def _cmd_sweep(parser, args) -> int:
     for config in configs:   # every configuration is checked before any writes
         config.validated()
     # the loops run a innermost, so configurations sharing (alpha, theta)
-    # are consecutive and share one operator and its cached solver
+    # are consecutive: a group, stepped together on one operator
     _run_groups([list(group) for _, group in
                  itertools.groupby(configs, lambda c: (c.alpha, c.theta))])
     return 0
 
 
 def _run_group(group: list) -> tuple[list, Exception | None]:
-    """Run ``group`` on one operator of its (alpha, theta): the summary lines
-    of the configurations that ran, and the error that stopped the rest
-    (None if none did)."""
+    """Run ``group`` as one integration on the operator of its (alpha, theta)
+    (``run_simulations``): the summary lines of the configurations written,
+    and the error that stopped the rest (None if none did)."""
     lines = []
     try:
-        params, grid, *_ = group[0].validated()
-        operator = assemble_operator_matrix(grid, params, group[0].tail_correction)
-        for config in group:
-            lines.append(_run_and_write(config, operator))
+        for config, (result, diag) in zip(group, run_simulations(group)):
+            lines.append(_write(config, result, diag))
     except (FracfrontError, OSError, MemoryError) as exc:
         return lines, exc
     return lines, None

@@ -203,7 +203,10 @@ class OperatorMatrix:
     def factorization(self, dt: float):
         """Solver of ``I - dt * entries``, cached for the latest dt only.
 
-        ``factorization(dt) @ r`` solves ``(I - dt * entries) x = r``.  At
+        ``factorization(dt) @ r`` solves ``(I - dt * entries) x = r`` for each
+        column of r, shape (n,) or (..., n, k) as numpy's matmul reads it; an
+        (n, 1) column of a stack is solved bit for bit as it is alone (BLAS
+        may round a product with k > 1 columns otherwise).  At
         ``n <= DENSE_INVERSE_MAX_N`` the solver is the dense inverse; above
         it, a ``ToeplitzSolver`` holding O(n) arrays.
         """
@@ -325,9 +328,11 @@ class ToeplitzSolver:
         return np.fft.irfft((self._lower * inner).sum(axis=-2), size)[..., :n]
 
     def __matmul__(self, rhs: np.ndarray) -> np.ndarray:
-        """The solution x of ``(I - dt*A) x = rhs``."""
-        y = self._apply_t(rhs)
-        return y - self._fold @ y[[0, -1]]
+        """The solution x of ``(I - dt*A) x = rhs``, as ``factorization`` states."""
+        rhs = np.asarray(rhs)
+        y = self._apply_t(rhs if rhs.ndim == 1 else np.swapaxes(rhs, -1, -2))
+        y -= (self._fold @ y[..., [0, -1], None])[..., 0]   # a mat-vec per row
+        return y if rhs.ndim == 1 else np.swapaxes(y, -1, -2)
 
 
 def _quadrature_stencil(grid: Grid1D, params: FractionalParams,

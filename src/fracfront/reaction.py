@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import OutOfRangeError
 
 
@@ -15,10 +17,10 @@ from .errors import OutOfRangeError
 class BistableCubic:
     """f(u) = u (1 - u) (u - a): stable states 0 and 1, unstable threshold a."""
 
-    a: float
+    a: float   # or a column of them, one per row of a stack of states
 
     def __post_init__(self):
-        if not 0.0 < self.a < 1.0:
+        if not 0.0 < np.min(self.a) <= np.max(self.a) < 1.0:
             raise OutOfRangeError(
                 f"threshold a must lie in (0, 1), got {self.a}", "a")
 

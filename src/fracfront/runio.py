@@ -27,9 +27,10 @@ from . import __version__
 from .diagnostics import STEP_HI, STEP_LO, estimate_decay_rate, estimate_speed, make_ic
 from .errors import FracfrontError, OutOfRangeError
 from .grids import FractionalParams, Grid1D, quadrature_nodes_weights
-from .operators import OperatorMatrix, quadrature_coefficients
+from .operators import quadrature_coefficients
 from .reaction import BistableCubic
-from .stepping import METHODS, SimulationResult, StepperConfig, integrate, make_schedule
+from .stepping import (METHODS, SimulationResult, StepperConfig, integrate_group,
+                       make_schedule)
 
 
 def _param(help_text: str, default=dataclasses.MISSING):
@@ -71,29 +72,35 @@ class RunConfig:
         return params, grid, nl, cfg, schedule
 
 
-def run_simulation(config: RunConfig,
-                   operator: Optional[OperatorMatrix] = None
-                   ) -> tuple[SimulationResult, dict]:
-    """Run one configuration and measure the standard diagnostics.
+def run_simulation(config: RunConfig) -> tuple[SimulationResult, dict]:
+    """Run one configuration: ``run_simulations`` of a group of one."""
+    return next(run_simulations([config]))
 
-    ``operator``, when given, is the configuration's assembled operator (it
-    keeps its cached solver); by default one is built for this run.  The
-    returned dict holds the front speed and decay-rate fit when they are
-    measurable for the run (None entries otherwise).
-    """
-    params, grid, nl, cfg, schedule = config.validated()
+
+def run_simulations(configs: list):
+    """Yield ``(result, diagnostics)`` per configuration, in order, for
+    configurations that differ only in ``a`` and ``out``: one integration
+    on one operator (``integrate_group``).  The diagnostics hold the front
+    speed and decay-rate fit when they are measurable for the run (None
+    entries otherwise).  A configuration that fails raises its error once
+    those before it are yielded."""
+    config = configs[0]
+    if any(dataclasses.replace(c, a=config.a, out=config.out) != config
+           for c in configs):
+        raise ValueError("a group's configurations may differ only in a and out")
+    params, grid, _, cfg, schedule = config.validated()
     ic = make_ic(config.ic, grid, config.step_lo, config.step_hi)
-    result = integrate(ic, schedule, cfg, grid, params, nl,
-                       tail_correction=config.tail_correction,
-                       operator=operator)
-    diag = {"speed": None, "speed_intercept": None, "speed_residual": None}
-    try:
-        est = estimate_speed(result)
-        diag.update(speed=est.speed, speed_intercept=est.intercept,
-                    speed_residual=est.residual)
-    except FracfrontError:
-        pass
-    return result, {**diag, **decay_diagnostics(result)}
+    for result in integrate_group(ic, schedule, cfg, grid, params,
+                                  [BistableCubic(c.a) for c in configs],
+                                  config.tail_correction):
+        diag = {"speed": None, "speed_intercept": None, "speed_residual": None}
+        try:
+            est = estimate_speed(result)
+            diag.update(speed=est.speed, speed_intercept=est.intercept,
+                        speed_residual=est.residual)
+        except FracfrontError:
+            pass
+        yield result, {**diag, **decay_diagnostics(result)}
 
 
 def decay_diagnostics(result: SimulationResult) -> dict:

@@ -10,7 +10,8 @@ Two steppers, named in ``METHODS``:
   Toeplitz solve above it; there the step keeps nonnegativity only to
   roundoff (below 1e-16 absolute where the true inverse entries underflow,
   as at alpha = 2 or theta at its edge).  The run's stats name the solver
-  and its setup time.
+  and its setup time.  Runs that differ only in the reaction's threshold
+  step as one stack of states, each step one solve for all of them.
 * ``rk-adaptive``: explicit embedded Dormand-Prince 5(4) pair with the
   standard safety-factored step controller.  Matrix-free: its right-hand
   side is ``OperatorMatrix.matvec``, one FFT correlation of the state at
@@ -18,8 +19,9 @@ Two steppers, named in ``METHODS``:
   into an edge column.  First-same-as-last: a run
   evaluates the right-hand side 6 times per trial step, plus once.
 
-``integrate`` drives either of them through a snapshot schedule, landing on
-each requested time exactly (the reported times are the schedule's floats).
+``integrate_group`` drives either of them through a snapshot schedule once
+per reaction, landing on each requested time exactly (the reported times
+are the schedule's floats); ``integrate`` is its run for one reaction.
 """
 
 from __future__ import annotations
@@ -113,8 +115,9 @@ class SimulationResult:
 
 def step_semi_implicit(u: np.ndarray, dt: float, A: OperatorMatrix,
                        nl: BistableCubic) -> np.ndarray:
-    """Solve (I - dt*A) u_new = u + dt f(u)."""
-    return A.factorization(dt) @ (u + dt * nl.f(u))
+    """Solve (I - dt*A) u_new = u + dt f(u) for a state, or for each row of a
+    stack of them (``nl.a`` a column, one threshold per row) by one solve."""
+    return (A.factorization(dt) @ (u + dt * nl.f(u))[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -184,82 +187,124 @@ def integrate(
     tail_correction: bool = False,
     operator: Optional[OperatorMatrix] = None,
 ) -> SimulationResult:
-    """Advance the initial profile through the snapshot schedule.
+    """Advance the initial profile through the snapshot schedule: the run of
+    ``integrate_group`` with the one reaction ``nl``.
 
-    Snapshots are taken exactly at the scheduled times (the semi-implicit
-    method splits each interval into the fewest equal steps of at most
-    ``cfg.dt``, reusing the previous size where they differ only in
-    roundoff; the adaptive method clips its proposals at the boundary).
-    Deterministic for fixed inputs.  Raises ``FracfrontError`` if the
-    solution magnitude, the initial one included, exceeds 1e6.
+    ``stats.wall_time_s`` is the wall time of the stepping, solver setup
+    (``stats.solver_setup_s``) included.  A run stepped in a group with
+    others reads the group's wall time, and only the group's first run is
+    charged the setup.
+    """
+    return next(integrate_group(ic, schedule, cfg, grid, params, [nl],
+                                tail_correction, operator))
+
+
+def integrate_group(ic, schedule, cfg, grid, params, nls,
+                    tail_correction=False, operator=None):
+    """Yield the run of ``ic`` under each reaction of ``nls``, in order.
+
+    Snapshots land on the scheduled times exactly.  Semi-implicit takes the
+    fewest equal steps of at most ``cfg.dt`` per interval (the previous size
+    where they differ only in roundoff) and advances the runs as one stack
+    (two or more reactions are then cubics that differ only in ``a``);
+    rk-adaptive clips its proposals at each time and steps each run alone.
+    A run's states and stats are its lone run's, bit for bit, timings aside
+    (``integrate``).  A run whose magnitude, the initial one included,
+    exceeds 1e6 raises ``FracfrontError`` once the runs before it are
+    yielded; those after it stop with it.
     """
     schedule = _check_schedule(schedule)
     u = validate_state(ic, grid).copy()
     lo, hi = _bounded(u)   # before the first f(u), which could overflow
     if operator is None:
         operator = assemble_operator_matrix(grid, params, tail_correction)
-
-    stats = {"steps": 0, "rejected_steps": 0, "u_min": lo, "u_max": hi}
-    states = [u.copy()]
+    if cfg.method == "rk-adaptive":
+        yield from (_adaptive(u, lo, hi, schedule, cfg, operator, nl, grid)
+                    for nl in nls)
+        return
+    spans = np.diff(schedule)
+    # a count past 1.8e308 is inf; a span / dt that underflows still takes
+    # one step
+    with np.errstate(over="ignore"):
+        counts = np.maximum(np.ceil(spans / cfg.dt * (1 - 1e-12)), 1)
+    if counts.sum() > MAX_STEPS:   # before any step is taken
+        raise FracfrontError(f"the schedule needs {counts.sum():.3g} steps of "
+                             f"dt = {cfg.dt:g}, over MAX_STEPS = {MAX_STEPS}")
+    # a stack's cubics react as one whose threshold is a column, a per run;
+    # a lone run keeps its own reaction
+    nl = nls[0] if len(nls) == 1 else BistableCubic(np.array([[r.a] for r in nls]))
+    states = np.empty((len(nls), len(schedule), grid.n))
+    states[:, 0] = u = np.tile(u, (len(nls), 1))
+    bounds = [(lo, hi)] * len(nls)   # each run's (u_min, u_max)
+    steps, setup, step, error = 0, 0.0, cfg.dt, None
     wall0 = time.perf_counter()
+    for i, (span, count) in enumerate(zip(spans, counts.astype(int)), start=1):
+        if abs(span / count - step) > 1e-12 * step:
+            step = span / count
+        if not operator.factorized(step):  # a shared operator may hold it
+            t0 = time.perf_counter()
+            operator.factorization(step)
+            setup += time.perf_counter() - t0
+        for _ in range(count):
+            u = step_semi_implicit(u, step, operator, nl)
+            steps += 1
+            # each run's min and max, NaN if any entry is NaN
+            extremes = zip(u.min(axis=1).tolist(), u.max(axis=1).tolist())
+            for j, (lo, hi) in enumerate(extremes):
+                if not -DIVERGENCE_THRESHOLD <= lo <= hi <= DIVERGENCE_THRESHOLD:
+                    error = FracfrontError(f"|u| reached {max(-lo, hi):.3g}")
+                    if j == 0:
+                        raise error
+                    # this run stops, and so do the runs after it
+                    nl, u, states = BistableCubic(nl.a[:j]), u[:j], states[:j]
+                    del bounds[j:]
+                    break
+                bounds[j] = min(bounds[j][0], lo), max(bounds[j][1], hi)
+        states[:, i] = u
+    stats = {"steps": steps, "rejected_steps": 0, "solver": operator.solver,
+             "wall_time_s": time.perf_counter() - wall0}
+    for j, (u_min, u_max) in enumerate(bounds):
+        yield SimulationResult(schedule.copy(), states[j], grid, nls[j], {
+            **stats, "solver_setup_s": 0.0 if j else setup,
+            "u_min": u_min, "u_max": u_max})
+    if error is not None:
+        raise error
 
-    def bookkeep(v):
-        stats["steps"] += 1
-        if stats["steps"] > MAX_STEPS:
-            raise FracfrontError(f"exceeded MAX_STEPS = {MAX_STEPS}")
-        lo, hi = _bounded(v)
-        stats["u_min"] = min(stats["u_min"], lo)
-        stats["u_max"] = max(stats["u_max"], hi)
 
-    if cfg.method == "semi-implicit":
-        spans = np.diff(schedule)
-        # a count past 1.8e308 is inf; a span / dt that underflows still
-        # takes one step
-        with np.errstate(over="ignore"):
-            counts = np.maximum(np.ceil(spans / cfg.dt * (1 - 1e-12)), 1)
-        if counts.sum() > MAX_STEPS:   # before any step is taken
-            raise FracfrontError(f"the schedule needs {counts.sum():.3g} steps of "
-                                 f"dt = {cfg.dt:g}, over MAX_STEPS = {MAX_STEPS}")
-        stats.update(solver=operator.solver, solver_setup_s=0.0)
-        step = cfg.dt
-        for span, count in zip(spans, counts.astype(int)):
-            if abs(span / count - step) > 1e-12 * step:
-                step = span / count
-            if not operator.factorized(step):  # a shared operator may hold it
-                t0 = time.perf_counter()
-                operator.factorization(step)
-                stats["solver_setup_s"] += time.perf_counter() - t0
-            for _ in range(count):
-                u = step_semi_implicit(u, step, operator, nl)
-                bookkeep(u)
-            states.append(u.copy())
-    else:  # rk-adaptive
-        def rhs(v):
-            return operator.matvec(v) + nl.f(v)
+def _adaptive(u, lo, hi, schedule, cfg, operator, nl, grid) -> SimulationResult:
+    """The run of one reaction, stepped alone under its own controller."""
+    stats = {"steps": 0, "rejected_steps": 0, "u_min": lo, "u_max": hi}
+    states, wall0 = [u], time.perf_counter()
 
-        # a trial step whose stages overflow has a NaN or infinite error
-        # estimate and is rejected; bookkeep checks each accepted state
-        with np.errstate(over="ignore", invalid="ignore"):
-            dt, f_u = DT_INITIAL, rhs(u)
-            for t, t_end in zip(schedule[:-1], schedule[1:]):
-                while t < t_end:
-                    clipped = dt > t_end - t
-                    dt_try = min(dt, t_end - t)
-                    if dt_try < 1e-14 * schedule[-1]:
-                        raise FracfrontError(f"dt = {dt_try:.3g} below 1e-14 * t_final")
-                    u, f_u, dt_next, accepted = step_explicit_rk(
-                        u, f_u, dt_try, rhs, cfg.abs_tol, cfg.rel_tol)
-                    if accepted:
-                        t = t_end if t_end - t <= dt_try else t + dt_try
-                        bookkeep(u)
-                    else:
-                        stats["rejected_steps"] += 1
-                        if stats["rejected_steps"] > MAX_STEPS:
-                            raise FracfrontError("rejection loop exceeded MAX_STEPS")
-                    # a boundary-clipped step must not shrink the controller state
-                    dt = max(dt, dt_next) if (clipped and accepted) else dt_next
-                states.append(u.copy())
+    def rhs(v):
+        return operator.matvec(v) + nl.f(v)
 
+    # a trial step whose stages overflow has a NaN or infinite error
+    # estimate and is rejected; each accepted state is checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt, f_u = DT_INITIAL, rhs(u)
+        for t, t_end in zip(schedule[:-1], schedule[1:]):
+            while t < t_end:
+                clipped = dt > t_end - t
+                dt_try = min(dt, t_end - t)
+                if dt_try < 1e-14 * schedule[-1]:
+                    raise FracfrontError(f"dt = {dt_try:.3g} below 1e-14 * t_final")
+                u, f_u, dt_next, accepted = step_explicit_rk(
+                    u, f_u, dt_try, rhs, cfg.abs_tol, cfg.rel_tol)
+                if accepted:
+                    t = t_end if t_end - t <= dt_try else t + dt_try
+                    stats["steps"] += 1
+                    if stats["steps"] > MAX_STEPS:
+                        raise FracfrontError(f"exceeded MAX_STEPS = {MAX_STEPS}")
+                    lo, hi = _bounded(u)
+                    stats["u_min"] = min(stats["u_min"], lo)
+                    stats["u_max"] = max(stats["u_max"], hi)
+                else:
+                    stats["rejected_steps"] += 1
+                    if stats["rejected_steps"] > MAX_STEPS:
+                        raise FracfrontError("rejection loop exceeded MAX_STEPS")
+                # a boundary-clipped step must not shrink the controller state
+                dt = max(dt, dt_next) if (clipped and accepted) else dt_next
+            states.append(u)
     stats["wall_time_s"] = time.perf_counter() - wall0
-    return SimulationResult(times=schedule.copy(), states=np.array(states),
-                            grid=grid, nl=nl, stats=stats)
+    return SimulationResult(schedule.copy(), np.array(states), grid, nl, stats)

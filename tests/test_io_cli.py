@@ -37,6 +37,7 @@ from fracfront import (
     read_profile_csv,
     result_from_csv,
     run_simulation,
+    run_simulations,
     write_manifest,
     write_snapshot_csv,
 )
@@ -389,8 +390,8 @@ class TestCLI:
             alive.append(weakref.ref(operator))
             return operator
 
-        for module in ("fracfront.cli", "fracfront.stepping"):
-            monkeypatch.setattr(f"{module}.assemble_operator_matrix", counting)
+        # the cli builds no operator: each group's integration builds its own
+        monkeypatch.setattr("fracfront.stepping.assemble_operator_matrix", counting)
         flags = ["--n", "61", "--b", "10", "--t-final", "0.5", "--dt", "0.05",
                  "--snapshots", "3"]
         assert main(["sweep", "--alphas", "1.5", "--thetas=-0.1,0.1",
@@ -950,11 +951,11 @@ _BASE_VALUES = {"alpha": "1.5", "theta": "0", "n": "21", "b": "5",
 
 def _record_pid(monkeypatch):
     """Make every run record the pid of the process it ran in."""
-    def run(config, operator=None):
-        result, diag = run_simulation(config, operator)
-        return result, {**diag, "pid": os.getpid()}
+    def run(configs):
+        for result, diag in run_simulations(configs):
+            yield result, {**diag, "pid": os.getpid()}
     # workers are forked, so they inherit the patched module attribute
-    monkeypatch.setattr("fracfront.cli.run_simulation", run)
+    monkeypatch.setattr("fracfront.cli.run_simulations", run)
 
 
 def _cpus(monkeypatch, count):
@@ -1027,6 +1028,76 @@ class TestParallelSweep:
         assert len(capsys.readouterr().out.splitlines()) == 4
 
 
+class TestGroupedSweep:
+    """A sweep steps each (alpha, theta) group as one integration; each of
+    its configurations writes what a lone ``simulate`` of it writes."""
+
+    FLAGS = ["--n", "61", "--b", "10", "--t-final", "1", "--dt", "0.05",
+             "--snapshots", "6"]
+
+    @pytest.mark.parametrize("stepper,a_list", [
+        ("semi-implicit", "0.3,0.45"), ("semi-implicit", "0.3,0.5,0.7"),
+        ("rk-adaptive", "0.35,0.6"), ("rk-adaptive", "0.3,0.5,0.7")])
+    def test_configurations_equal_lone_runs(self, tmp_path, capsys, stepper,
+                                            a_list):
+        flags = [*self.FLAGS, "--stepper", stepper]
+        assert main(["sweep", "--alphas", "1.6", "--thetas=-0.2,0.1",
+                     "--a-list", a_list, *flags, "--out", str(tmp_path / "sw")]) == 0
+        swept = capsys.readouterr().out.splitlines()
+        for i, (theta, a) in enumerate(itertools.product(("-0.2", "0.1"),
+                                                         a_list.split(","))):
+            label = f"alpha1.6_theta{theta}_a{a}"
+            assert main(["simulate", "--alpha", "1.6", f"--theta={theta}",
+                         "--a", a, *flags, "--out", str(tmp_path / label)]) == 0
+            assert capsys.readouterr().out.replace(
+                str(tmp_path), str(tmp_path / "sw")) == swept[i] + "\n"
+            for name in ("snapshots.csv", "manifest.json"):
+                group = (tmp_path / "sw" / label / name).read_text()
+                alone = (tmp_path / label / name).read_text()
+                if name == "manifest.json":   # all but the timings and out
+                    group, alone = (re.sub(r'"(out|wall_time_s|solver_setup_s)": .*',
+                                           "", text) for text in (group, alone))
+                assert group == alone
+
+    def test_a_group_differs_only_in_a(self):
+        base = RunConfig(alpha=1.5, theta=0.0, n=21, b=5.0, t_final=0.1)
+        with pytest.raises(ValueError, match="differ only in a and out"):
+            next(run_simulations([base, dataclasses.replace(base, theta=0.1)]))
+        runs = run_simulations([base, dataclasses.replace(base, a=0.3, out="x")])
+        assert [result.nl.a for result, _ in runs] == [0.5, 0.3]
+
+    @pytest.mark.parametrize("how", ["blocked-output", "diverged"])
+    def test_middle_configuration_fails(self, tmp_path, capfd, monkeypatch, how):
+        # in a group of three values of a, a = 0.5 fails: a = 0.4 is written,
+        # a = 0.6 is not, and the exit is that of the serial sweep when forked
+        if how == "diverged":   # a = 0.5 reacts without bound in the stack
+            cubic = fracfront.BistableCubic.f
+            monkeypatch.setattr(fracfront.BistableCubic, "f", lambda self, u: np.where(
+                np.asarray(self.a) == 0.5, 1e9, cubic(self, u)))
+        outcomes = []
+        for cpus in (2, 1):
+            out = tmp_path / f"cpus{cpus}"
+            out.mkdir()
+            if how == "blocked-output":
+                for theta in ("-0.1", "0.1"):
+                    (out / f"alpha1.5_theta{theta}_a0.5").write_text("a file\n")
+            _cpus(monkeypatch, cpus)
+            rc = main(["sweep", "--alphas", "1.5", "--thetas=-0.1,0.1",
+                       "--a-list", "0.4,0.5,0.6", "--n", "1001",
+                       *TestParallelSweep.FLAGS, "--out", str(out)])
+            captured = capfd.readouterr()
+            outcomes.append((rc, captured.out.replace(str(out), "OUT"),
+                             captured.err.replace(str(out), "OUT")))
+            assert (out / "alpha1.5_theta-0.1_a0.4" / "snapshots.csv").is_file()
+            assert not (out / "alpha1.5_theta-0.1_a0.6").exists()
+        parallel, serial = outcomes
+        assert parallel == serial
+        rc, stdout, stderr = serial
+        assert rc == 1 and len(stdout.splitlines()) == 1
+        assert stdout.startswith("wrote OUT/alpha1.5_theta-0.1_a0.4/snapshots.csv")
+        assert stderr.startswith("error: ") and "Traceback" not in stderr
+
+
 class TestParallelSweepErrors:
     """A worker's error exits as the serial sweep's does; a worker that dies
     exits 1 naming its (alpha, theta) group."""
@@ -1038,11 +1109,12 @@ class TestParallelSweepErrors:
             last.write_text("a file where the run directory goes\n")
             return
 
-        def run(config, operator=None):
-            if Path(config.out) == last:
-                raise FracfrontError("solution diverged (test)")
-            return run_simulation(config, operator)
-        monkeypatch.setattr("fracfront.cli.run_simulation", run)
+        def run(configs):
+            for config, outcome in zip(configs, run_simulations(configs)):
+                if Path(config.out) == last:
+                    raise FracfrontError("solution diverged (test)")
+                yield outcome
+        monkeypatch.setattr("fracfront.cli.run_simulations", run)
 
     @pytest.mark.parametrize("how", ["blocked-output", "diverged"])
     def test_worker_error_exits_as_serial(self, tmp_path, capfd, monkeypatch,
@@ -1068,13 +1140,13 @@ class TestParallelSweepErrors:
                                                   monkeypatch):
         caller = os.getpid()
 
-        def die(config, operator=None):
+        def die(configs):
             if os.getpid() == caller:   # never end the test process itself
                 raise AssertionError("the sweep ran in the caller's process")
             os._exit(3)
 
         _cpus(monkeypatch, 2)
-        monkeypatch.setattr("fracfront.cli.run_simulation", die)
+        monkeypatch.setattr("fracfront.cli.run_simulations", die)
         assert TestParallelSweep()._sweep(tmp_path) == 1
         captured = capfd.readouterr()
         assert captured.err.startswith(

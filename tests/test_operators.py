@@ -500,6 +500,37 @@ class TestToeplitzSolver:
         ref = lu_solve(lu_factor(np.eye(1013) - 0.05 * A.entries), rhs)
         assert np.max(np.abs(solver @ rhs - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("n", [61, 181, 1003, 1601])
+    def test_solves_each_column(self, n):
+        # both solvers, one contract: factorization(dt) @ r solves each
+        # column of an (n,) or (..., n, k) right-hand side, as matmul reads it
+        A = assemble_operator_matrix(Grid1D(30.0, n), FractionalParams(1.5, 0.2),
+                                     tail_correction=True)
+        solver = A.factorization(0.05)
+        lu = lu_factor(np.eye(n) - 0.05 * A.entries)
+        rhs = np.random.default_rng(n).standard_normal((n, 3))
+        out = solver @ rhs
+        assert out.shape == (n, 3)
+        for k in range(3):
+            ref = lu_solve(lu, rhs[:, k])
+            assert np.max(np.abs(out[:, k] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        stacked = solver @ rhs.T[:, :, None]   # three (n, 1) columns
+        assert stacked.shape == (3, n, 1)
+        for k in range(3):   # each bit for bit as the column solved alone
+            assert np.array_equal(stacked[k, :, 0], solver @ rhs[:, k])
+
+    def test_identity_gives_the_inverse(self):
+        # the columns of a 2-D right-hand side are solved, none folded as a row
+        n = 1003
+        A = assemble_operator_matrix(Grid1D(30.0, n), FractionalParams(1.7, 0.2))
+        solver = A.factorization(0.02)
+        assert isinstance(solver, ToeplitzSolver)
+        inverse = solver @ np.eye(n)
+        for k in (0, 1, n // 2, n - 2, n - 1):
+            assert np.array_equal(inverse[:, k], solver @ np.eye(n)[k])
+        ref = np.linalg.inv(np.eye(n) - 0.02 * A.entries)
+        assert np.max(np.abs(inverse - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_routing_by_node_count(self):
         small = Grid1D(30.0, (DENSE_INVERSE_MAX_N - 1) | 1)  # largest odd n at
         large = Grid1D(30.0, (DENSE_INVERSE_MAX_N + 1) | 1)  # and above it

@@ -18,6 +18,7 @@ from fracfront import (
     assemble_operator_matrix,
     chen_ramp,
     integrate,
+    integrate_group,
     make_schedule,
     step_explicit_rk,
     step_semi_implicit,
@@ -425,3 +426,88 @@ class TestStepPlan:
         res, sizes = _run_recording_steps(20.0, 21, 0.02)
         assert len(sizes) == res.stats["steps"] == 1000
         assert all(s == 0.02 for s in sizes)
+
+
+def _lone_and_group(n, a_values, cfg, t_final=1.0, snapshots=4,
+                    params=FractionalParams(1.6, 0.2)):
+    """The runs of each value of a alone, and of all of them as one group."""
+    g = Grid1D(10.0, n)
+    ic, sched = chen_ramp(g.x), make_schedule(t_final, snapshots)
+    lone = [integrate(ic, sched, cfg, g, params, BistableCubic(a))
+            for a in a_values]
+    group = list(integrate_group(ic, sched, cfg, g, params,
+                                 [BistableCubic(a) for a in a_values]))
+    return lone, group
+
+
+def _same_run(lone, grouped):
+    """States, times and every stat but the timings, bit for bit."""
+    assert np.array_equal(grouped.states, lone.states)
+    assert np.array_equal(grouped.times, lone.times)
+    assert grouped.nl == lone.nl
+    timing = ("wall_time_s", "solver_setup_s")
+    strip = lambda stats: {k: repr(v) for k, v in stats.items() if k not in timing}
+    assert strip(grouped.stats) == strip(lone.stats)   # repr: -0.0 != 0.0
+    assert grouped.stats.keys() == lone.stats.keys()
+
+
+class TestIntegrateGroup:
+    """A group of runs that differ only in a equals its runs alone."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 30).map(lambda m: 2 * m + 1),
+           a_values=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4),
+           dt=st.floats(1e-3, 0.5))
+    def test_stacked_rows_equal_lone_runs(self, n, a_values, dt):
+        cfg = StepperConfig(method="semi-implicit", dt=dt)
+        lone, group = _lone_and_group(n, a_values, cfg)
+        assert len(group) == len(a_values)
+        for alone, grouped in zip(lone, group):
+            _same_run(alone, grouped)
+
+    @pytest.mark.parametrize("method", ["semi-implicit", "rk-adaptive"])
+    def test_both_steppers(self, method):
+        cfg = StepperConfig(method=method, dt=0.05, abs_tol=1e-7, rel_tol=1e-7)
+        lone, group = _lone_and_group(61, (0.3, 0.45, 0.7), cfg)
+        for alone, grouped in zip(lone, group):
+            _same_run(alone, grouped)
+
+    def test_above_the_dense_limit(self):
+        n = (DENSE_INVERSE_MAX_N + 1) | 1
+        cfg = StepperConfig(method="semi-implicit", dt=0.02)
+        lone, group = _lone_and_group(n, (0.4, 0.6), cfg, t_final=0.2)
+        assert group[0].stats["solver"] == "toeplitz"
+        for alone, grouped in zip(lone, group):
+            _same_run(alone, grouped)
+
+    def test_timings_of_a_group(self):
+        # the stepping's wall time for every run; the setup charged to the first
+        cfg = StepperConfig(method="semi-implicit", dt=0.05)
+        _, group = _lone_and_group(41, (0.3, 0.5, 0.7), cfg)
+        assert len({run.stats["wall_time_s"] for run in group}) == 1
+        assert group[0].stats["wall_time_s"] >= group[0].stats["solver_setup_s"] > 0
+        assert [run.stats["solver_setup_s"] for run in group[1:]] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("method", ["semi-implicit", "rk-adaptive"])
+    def test_a_failing_run_stops_the_runs_after_it(self, method, monkeypatch):
+        # a = 0.5 reacts without bound: the run before it finishes, the one
+        # after it stops, and its error follows the finished run
+        cubic = BistableCubic.f
+        monkeypatch.setattr(BistableCubic, "f", lambda self, u: np.where(
+            np.asarray(self.a) == 0.5, 1e9, cubic(self, u)))
+        cfg = StepperConfig(method=method, dt=0.05)
+        g = Grid1D(10.0, 41)
+        runs = integrate_group(chen_ramp(g.x), make_schedule(1.0, 4), cfg, g,
+                               FractionalParams(1.6, 0.2),
+                               [BistableCubic(a) for a in (0.3, 0.5, 0.7)])
+        first = next(runs)
+        with pytest.raises(FracfrontError, match=r"^\|u\| reached "):
+            next(runs)
+        assert next(runs, None) is None   # a = 0.7 never yields
+        alone = integrate(chen_ramp(g.x), make_schedule(1.0, 4), cfg, g,
+                          FractionalParams(1.6, 0.2), BistableCubic(0.3))
+        _same_run(alone, first)
+        with pytest.raises(FracfrontError, match=r"^\|u\| reached "):
+            next(integrate_group(chen_ramp(g.x), make_schedule(1.0, 4), cfg, g,
+                                 FractionalParams(1.6, 0.2),
+                                 [BistableCubic(a) for a in (0.5, 0.3)]))
