@@ -18,7 +18,7 @@ from .errors import FracfrontError, OutOfRangeError
 from .grids import FractionalParams, Grid1D, _integral_count, validate_state
 from .operators import riesz_feller_symbol
 from .reaction import BistableCubic
-from .stepping import SimulationResult, StepperConfig, integrate
+from .stepping import SimulationResult, StepperConfig, integrate_group
 
 BOUNDARY_DENSITY_LIMIT = 1e-6   # kernel guard: boundary value vs peak
 STEP_LO, STEP_HI = 0.49, 1.51   # default step IC: above the stable band on the right
@@ -117,6 +117,9 @@ def estimate_speed(result: SimulationResult, level: Optional[float] = None,
         raise OutOfRangeError(
             f"fit_window must lie in (0, 1], got {fit_window}", "fit_window")
     if level is None:
+        if result.nl is None:   # read back without a
+            raise OutOfRangeError("the result has no reaction; give the "
+                                  "level to track", "level")
         level = result.nl.a
     if not abs(level) < np.inf:
         raise OutOfRangeError(f"level must be finite, got {level}", "level")
@@ -249,14 +252,15 @@ def comparison_test(
     schedule: np.ndarray,
     operator=None,
 ) -> tuple[bool, float]:
-    """Evolve an ordered pair with the same stepper; check order persists.
+    """Evolve an ordered pair as one two-row stack; check order persists.
 
     Returns ``(ordered, min_gap)`` where ``min_gap`` is the minimum of
     (high - low) over all snapshot nodes and ``ordered`` means it stays
     above -1e-10.
     """
-    lo = integrate(ic_low, schedule, cfg, grid, params, nl, operator=operator)
-    hi = integrate(ic_high, schedule, cfg, grid, params, nl, operator=operator)
+    pair = np.array([validate_state(ic, grid) for ic in (ic_low, ic_high)])
+    lo, hi = integrate_group(pair, schedule, cfg, grid, params, [nl, nl],
+                             operator=operator)
     gap = hi.states - lo.states
     min_gap = float(gap.min())
     return min_gap >= -1e-10, min_gap

@@ -48,7 +48,7 @@ the oracle backend.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -114,17 +114,14 @@ class OperatorMatrix:
     into one cached edge column (``_folds``, which the dense matrix and the
     Toeplitz solver share).  ``entries`` is the dense matrix under
     projection ghosts, built afresh on each access, and ``entries @ u``
-    equals ``matvec(u)`` to roundoff.
-    The solver of ``I - dt*entries`` is cached for the latest dt only, for
-    implicit stepping.  At ``n <= DENSE_INVERSE_MAX_N`` it is the dense
-    inverse, the only n x n array the operator keeps; above it, a
-    ``ToeplitzSolver`` of O(n) arrays.
+    equals ``matvec(u)`` to roundoff.  ``factorization(dt)`` builds a
+    solver of ``I - dt*entries`` for implicit stepping, which the caller
+    holds: the operator keeps no n x n array.
     """
 
     grid: Grid1D
     weights: np.ndarray
     far: tuple[float, float] = (0.0, 0.0)
-    _inverse_cache: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def row_sum(self) -> float:
@@ -196,12 +193,8 @@ class OperatorMatrix:
         """What ``factorization`` builds: "dense-inverse" or "toeplitz"."""
         return "toeplitz" if self.grid.n > DENSE_INVERSE_MAX_N else "dense-inverse"
 
-    def factorized(self, dt: float) -> bool:
-        """Whether ``factorization(dt)`` is cached."""
-        return dt in self._inverse_cache
-
     def factorization(self, dt: float):
-        """Solver of ``I - dt * entries``, cached for the latest dt only.
+        """A new solver of ``I - dt * entries``.
 
         ``factorization(dt) @ r`` solves ``(I - dt * entries) x = r`` for each
         column of r, shape (n,) or (..., n, k) as numpy's matmul reads it; an
@@ -210,12 +203,9 @@ class OperatorMatrix:
         ``n <= DENSE_INVERSE_MAX_N`` the solver is the dense inverse; above
         it, a ``ToeplitzSolver`` holding O(n) arrays.
         """
-        if dt not in self._inverse_cache:
-            self._inverse_cache.clear()  # never two solvers held
-            self._inverse_cache[dt] = (ToeplitzSolver(self, dt)
-                                       if self.solver == "toeplitz"
-                                       else self._dense_inverse(dt))
-        return self._inverse_cache[dt]
+        if self.solver == "toeplitz":
+            return ToeplitzSolver(self, dt)
+        return self._dense_inverse(dt)
 
     def _dense_inverse(self, dt: float) -> np.ndarray:
         M = self.entries

@@ -4,14 +4,14 @@ Two steppers, named in ``METHODS``:
 
 * ``semi-implicit``: backward Euler on the linear operator, explicit
   reaction.  Equal steps of at most ``dt`` per snapshot interval, so a
-  uniform schedule takes one step size and one cached solver of
-  ``I - dt*A`` per run (``OperatorMatrix.factorization``).  Each step is
-  one dense mat-vec at ``n <= DENSE_INVERSE_MAX_N`` and an O(n log n)
+  uniform schedule takes one step size and one solver of ``I - dt*A`` per
+  run (``OperatorMatrix.factorization``), held by the run alone.  Each step
+  is one dense mat-vec at ``n <= DENSE_INVERSE_MAX_N`` and an O(n log n)
   Toeplitz solve above it; there the step keeps nonnegativity only to
   roundoff (below 1e-16 absolute where the true inverse entries underflow,
   as at alpha = 2 or theta at its edge).  The run's stats name the solver
-  and its setup time.  Runs that differ only in the reaction's threshold
-  step as one stack of states, each step one solve for all of them.
+  and its setup time.  Runs that differ in the reaction's threshold or in
+  their initial state step as one stack of states, one solve per step.
 * ``rk-adaptive``: explicit embedded Dormand-Prince 5(4) pair with the
   standard safety-factored step controller.  Matrix-free: its right-hand
   side is ``OperatorMatrix.matvec``, one FFT correlation of the state at
@@ -113,11 +113,12 @@ class SimulationResult:
 # semi-implicit backward Euler
 # ---------------------------------------------------------------------------
 
-def step_semi_implicit(u: np.ndarray, dt: float, A: OperatorMatrix,
+def step_semi_implicit(u: np.ndarray, dt: float, solve,
                        nl: BistableCubic) -> np.ndarray:
-    """Solve (I - dt*A) u_new = u + dt f(u) for a state, or for each row of a
-    stack of them (``nl.a`` a column, one threshold per row) by one solve."""
-    return (A.factorization(dt) @ (u + dt * nl.f(u))[..., None])[..., 0]
+    """Solve (I - dt*A) u_new = u + dt f(u) with ``solve = A.factorization(dt)``
+    for a state, or for each row of a stack of them (``nl.a`` a scalar or a
+    column, one threshold per row) by one solve."""
+    return (solve @ (u + dt * nl.f(u))[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +188,8 @@ def integrate(
     tail_correction: bool = False,
     operator: Optional[OperatorMatrix] = None,
 ) -> SimulationResult:
-    """Advance the initial profile through the snapshot schedule: the run of
-    ``integrate_group`` with the one reaction ``nl``.
+    """Advance the initial profile ``ic``, shape (n,), through the snapshot
+    schedule: the run of ``integrate_group`` with the one reaction ``nl``.
 
     ``stats.wall_time_s`` is the wall time of the stepping, solver setup
     (``stats.solver_setup_s``) included.  A run stepped in a group with
@@ -201,26 +202,31 @@ def integrate(
 
 def integrate_group(ic, schedule, cfg, grid, params, nls,
                     tail_correction=False, operator=None):
-    """Yield the run of ``ic`` under each reaction of ``nls``, in order.
+    """Yield one run per reaction of ``nls``, in order, from ``ic``: a state
+    of shape (n,) for every run, or one per run, shape (len(nls), n).
 
-    Snapshots land on the scheduled times exactly.  Semi-implicit takes the
-    fewest equal steps of at most ``cfg.dt`` per interval (the previous size
-    where they differ only in roundoff) and advances the runs as one stack
-    (two or more reactions are then cubics that differ only in ``a``);
-    rk-adaptive clips its proposals at each time and steps each run alone.
-    A run's states and stats are its lone run's, bit for bit, timings aside
-    (``integrate``).  A run whose magnitude, the initial one included,
-    exceeds 1e6 raises ``FracfrontError`` once the runs before it are
-    yielded; those after it stop with it.
+    Every initial state is checked, magnitude over 1e6 included, before the
+    first step.  Snapshots land on the scheduled times exactly.
+    Semi-implicit takes the fewest equal steps of at most ``cfg.dt`` per
+    interval (the previous size where they differ only in roundoff) and
+    advances the runs as one stack (of cubics that may differ in ``a``),
+    holding one solver at a time; rk-adaptive clips its proposals at each
+    time and steps each run alone.  A run's states and stats are its lone
+    run's, bit for bit, timings aside (``integrate``).  A run whose
+    magnitude exceeds 1e6 raises ``FracfrontError`` once the runs before
+    it are yielded; those after it stop with it.
     """
     schedule = _check_schedule(schedule)
-    u = validate_state(ic, grid).copy()
-    lo, hi = _bounded(u)   # before the first f(u), which could overflow
+    ic = np.asarray(ic, dtype=float)
+    u = np.array([validate_state(row, grid) for row in
+                  (ic if ic.shape == (len(nls), grid.n) else [ic] * len(nls))])
+    # each run's (u_min, u_max), before the first f(u), which could overflow
+    bounds = [_bounded(row) for row in u]
     if operator is None:
         operator = assemble_operator_matrix(grid, params, tail_correction)
     if cfg.method == "rk-adaptive":
-        yield from (_adaptive(u, lo, hi, schedule, cfg, operator, nl, grid)
-                    for nl in nls)
+        yield from (_adaptive(row, lo, hi, schedule, cfg, operator, nl, grid)
+                    for row, (lo, hi), nl in zip(u, bounds, nls))
         return
     spans = np.diff(schedule)
     # a count past 1.8e308 is inf; a span / dt that underflows still takes
@@ -234,19 +240,18 @@ def integrate_group(ic, schedule, cfg, grid, params, nls,
     # a lone run keeps its own reaction
     nl = nls[0] if len(nls) == 1 else BistableCubic(np.array([[r.a] for r in nls]))
     states = np.empty((len(nls), len(schedule), grid.n))
-    states[:, 0] = u = np.tile(u, (len(nls), 1))
-    bounds = [(lo, hi)] * len(nls)   # each run's (u_min, u_max)
-    steps, setup, step, error = 0, 0.0, cfg.dt, None
+    states[:, 0] = u
+    steps, setup, step, solve, error = 0, 0.0, cfg.dt, None, None
     wall0 = time.perf_counter()
     for i, (span, count) in enumerate(zip(spans, counts.astype(int)), start=1):
         if abs(span / count - step) > 1e-12 * step:
-            step = span / count
-        if not operator.factorized(step):  # a shared operator may hold it
+            step, solve = span / count, None   # dropped before the next is built
+        if solve is None:
             t0 = time.perf_counter()
-            operator.factorization(step)
+            solve = operator.factorization(step)
             setup += time.perf_counter() - t0
         for _ in range(count):
-            u = step_semi_implicit(u, step, operator, nl)
+            u = step_semi_implicit(u, step, solve, nl)
             steps += 1
             # each run's min and max, NaN if any entry is NaN
             extremes = zip(u.min(axis=1).tolist(), u.max(axis=1).tolist())

@@ -22,6 +22,7 @@ from fracfront import (
     front_position,
     green_function,
     integrate,
+    integrate_group,
     make_ic,
     make_ordered_ic_pair,
     make_schedule,
@@ -31,7 +32,7 @@ from fracfront import (
     step_profile,
     write_snapshot_csv,
 )
-from fracfront.diagnostics import _cell_minimum, _fit_line
+from fracfront.diagnostics import _cell_minimum, _fit_line, smoothstep
 
 
 def _fake_result(grid, times, states, a=0.5):
@@ -116,6 +117,16 @@ class TestSpeed:
         states = np.array([chen_ramp(g.x)] * 3)
         with pytest.raises(OutOfRangeError):
             estimate_speed(_fake_result(g, [0.0, 1.0, 2.0], states))
+
+    def test_read_back_without_a_needs_a_level(self, tmp_path):
+        g = Grid1D(30.0, 181)
+        write_snapshot_csv(_fake_result(g, np.arange(10.0), _translating_ramps(g, 10)),
+                           tmp_path / "snapshots.csv")
+        result = result_from_csv(tmp_path / "snapshots.csv")   # no a
+        with pytest.raises(OutOfRangeError, match="give the level") as exc:
+            estimate_speed(result)
+        assert exc.value.param == "level"
+        assert estimate_speed(result, level=0.5).speed == pytest.approx(g.h, rel=1e-12)
 
     # 1 - 0.7 is 0.30000000000000004, so a window counted from 1 - fit_window
     # fitted 6 of 10, 13 of 20 and 20 of 30 snapshots
@@ -519,6 +530,29 @@ class TestBalancedStandingWave:
             assert abs(estimate_speed(res).speed) <= 1e-3
 
 
+class TestUniqueWave:
+    """The bistable wave is unique up to translation and attracts front-like
+    initial data: five initial states, one speed."""
+
+    def test_five_initial_states_one_speed(self):
+        g = Grid1D(30.0, 361)
+        x, p, nl = g.x, FractionalParams(1.7, 0.2), BistableCubic(0.5)
+        ics = np.array([chen_ramp(x), step_profile(x, 0.0, 1.0),
+                        smoothstep((x - 4.0) / 16.0 + 0.5),
+                        0.5 * (1.0 + np.tanh(x + 6.0)), step_profile(x, 0.3, 0.8)])
+        cfg, schedule = StepperConfig(dt=0.02), make_schedule(40.0, 41)
+        runs = list(integrate_group(ics, schedule, cfg, g, p, [nl] * len(ics),
+                                    tail_correction=True))
+        speeds = np.array([estimate_speed(run).speed for run in runs])
+        assert np.ptp(speeds) <= 1e-4 * np.min(np.abs(speeds))
+        for ic, run in zip(ics, runs):   # each row is its lone run
+            alone = integrate(ic, schedule, cfg, g, p, nl, tail_correction=True)
+            assert np.array_equal(run.states, alone.states)
+            assert run.stats["steps"] == alone.stats["steps"] == 2000
+            assert (run.stats["u_min"], run.stats["u_max"]) == (
+                alone.stats["u_min"], alone.stats["u_max"])
+
+
 class TestComparisonAndBounds:
     def test_equal_pair_is_ordered(self):
         g = Grid1D(10.0, 61)
@@ -530,6 +564,17 @@ class TestComparisonAndBounds:
             make_schedule(1.0, 3))
         assert ordered
         assert gap == 0.0
+
+    @pytest.mark.parametrize("method", ["semi-implicit", "rk-adaptive"])
+    def test_gap_of_the_lone_runs(self, method):
+        # the stacked pair gives the gap of the two runs made alone, bit for bit
+        g, p, nl = Grid1D(10.0, 61), FractionalParams(1.8, 0.1), BistableCubic(0.5)
+        low, high = make_ordered_ic_pair(g, np.random.default_rng(7))
+        cfg, schedule = StepperConfig(method=method, dt=0.05), make_schedule(1.0, 3)
+        gap = (integrate(high, schedule, cfg, g, p, nl).states
+               - integrate(low, schedule, cfg, g, p, nl).states)
+        assert comparison_test(low, high, g, p, nl, cfg, schedule) == (
+            gap.min() >= -1e-10, gap.min())
 
     def test_random_pairs_are_valid(self):
         g = Grid1D(30.0, 181)

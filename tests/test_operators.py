@@ -543,7 +543,7 @@ class TestToeplitzSolver:
         A = assemble_operator_matrix(Grid1D(30.0, n), FractionalParams(1.7, 0.2))
         solver = A.factorization(0.02)
         assert isinstance(solver, ToeplitzSolver)
-        assert A.factorization(0.02) is solver
+        assert A.factorization(0.02) is not solver   # the caller holds it
         held = [*vars(A).values(), *vars(solver).values()]
         arrays = [v for x in held for v in (x if isinstance(x, tuple) else [x])
                   if isinstance(v, np.ndarray)]

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -78,7 +79,7 @@ class TestSemiImplicit:
         g = Grid1D(10.0, 41)
         A = assemble_operator_matrix(g, FractionalParams(1.6, 0.2))
         u = np.full(g.n, 1.0)
-        out = step_semi_implicit(u, 0.1, A, BistableCubic(0.4))
+        out = step_semi_implicit(u, 0.1, A.factorization(0.1), BistableCubic(0.4))
         assert np.max(np.abs(out - u)) <= 1e-13
 
     def test_zero_operator_reduces_to_explicit_euler(self):
@@ -86,7 +87,7 @@ class TestSemiImplicit:
         A = OperatorMatrix(g, np.zeros(3))  # zero stencil
         nl = BistableCubic(0.4)
         u = np.linspace(0.0, 1.0, g.n)
-        out = step_semi_implicit(u, 0.05, A, nl)
+        out = step_semi_implicit(u, 0.05, A.factorization(0.05), nl)
         assert np.max(np.abs(out - (u + 0.05 * nl.f(u)))) <= 1e-13
 
     # (b, n, alpha, theta, dt): operators from acceptance tests 05-08 and
@@ -104,23 +105,21 @@ class TestSemiImplicit:
         u = 1.0 / (1.0 + np.exp(-g.x))
         rhs = u + dt * nl.f(u)
         ref = lu_solve(lu_factor(np.eye(n) - dt * A.entries), rhs)
-        out = step_semi_implicit(u, dt, A, nl)
+        solve = A.factorization(dt)
+        out = step_semi_implicit(u, dt, solve, nl)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
         # I - dt*A is an M-matrix, so its inverse is nonnegative; its
         # columns come from the solver, a dense inverse or a Toeplitz solve
-        solve = A.factorization(dt)
         assert min(np.min(solve @ e) for e in np.eye(n)) >= 0.0
 
-    def test_operator_keeps_only_the_inverse(self):
+    def test_operator_keeps_no_square_array(self):
         g = Grid1D(10.0, 41)
         A = assemble_operator_matrix(g, FractionalParams(1.6, 0.2))
         assert A.entries is not A.entries  # built afresh, never cached
         inverse = A.factorization(0.1)
-        held = [v for x in vars(A).values()
-                for v in (x.values() if isinstance(x, dict) else [x])]
-        square = [v for v in held if np.shape(v) == (g.n, g.n)]
-        assert len(square) == 1 and square[0] is inverse
-        assert A.factorization(0.1) is inverse
+        assert np.shape(inverse) == (g.n, g.n)
+        assert not [v for v in vars(A).values() if np.shape(v) == (g.n, g.n)]
+        assert A.factorization(0.1) is not inverse   # the caller holds it
 
     def test_first_order_self_convergence(self):
         g = Grid1D(20.0, 121)
@@ -341,9 +340,9 @@ class TestIntegrate:
                           BistableCubic(0.5), operator=A)
                 for method in ("semi-implicit", "semi-implicit", "rk-adaptive")]
         assert runs[0].stats["solver"] == "dense-inverse"
+        # each run builds its own solver, also on a shared operator
         assert runs[0].stats["solver_setup_s"] > 0
-        # the second run reuses the operator's cached solver
-        assert runs[1].stats["solver_setup_s"] == 0.0
+        assert runs[1].stats["solver_setup_s"] > 0
         assert "solver" not in runs[2].stats
         assert "solver_setup_s" not in runs[2].stats
 
@@ -368,9 +367,9 @@ def _run_recording_steps(t_final, snapshots, dt, n=21, operator=None,
     sizes = []
     step = fracfront.stepping.step_semi_implicit
 
-    def record(u, dt, A, nl):
+    def record(u, dt, solve, nl):
         sizes.append(dt)
-        return step(u, dt, A, nl) if advance else u
+        return step(u, dt, solve, nl) if advance else u
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fracfront.stepping, "step_semi_implicit", record)
@@ -398,9 +397,8 @@ class TestStepPlan:
         monkeypatch.setattr(np.linalg, "inv", counting_inv)
         res, sizes = _run_recording_steps(20.0, 7, 0.02, n=61, operator=A)
         assert calls == [(g.n, g.n)]
-        held = [v for x in vars(A).values()
-                for v in (x.values() if isinstance(x, dict) else [x])]
-        assert len([v for v in held if np.shape(v) == (g.n, g.n)]) == 1
+        # the run held the inverse, the operator none
+        assert not [v for v in vars(A).values() if np.shape(v) == (g.n, g.n)]
         assert res.stats["steps"] == len(sizes) == 6 * 167
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -429,12 +427,15 @@ class TestStepPlan:
 
 
 def _lone_and_group(n, a_values, cfg, t_final=1.0, snapshots=4,
-                    params=FractionalParams(1.6, 0.2)):
-    """The runs of each value of a alone, and of all of them as one group."""
+                    params=FractionalParams(1.6, 0.2), shifts=None):
+    """The runs of each value of a alone, and of all of them as one group:
+    from the ramp, or with ``shifts`` row j from the ramp moved by shifts[j]."""
     g = Grid1D(10.0, n)
-    ic, sched = chen_ramp(g.x), make_schedule(t_final, snapshots)
-    lone = [integrate(ic, sched, cfg, g, params, BistableCubic(a))
-            for a in a_values]
+    sched = make_schedule(t_final, snapshots)
+    rows = [chen_ramp(g.x - s) for s in shifts or [0.0] * len(a_values)]
+    ic = rows[0] if shifts is None else np.array(rows)
+    lone = [integrate(row, sched, cfg, g, params, BistableCubic(a))
+            for row, a in zip(rows, a_values)]
     group = list(integrate_group(ic, sched, cfg, g, params,
                                  [BistableCubic(a) for a in a_values]))
     return lone, group
@@ -452,15 +453,19 @@ def _same_run(lone, grouped):
 
 
 class TestIntegrateGroup:
-    """A group of runs that differ only in a equals its runs alone."""
+    """A group of runs that differ in a, in initial state or in both equals
+    its runs alone."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(2, 30).map(lambda m: 2 * m + 1),
            a_values=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4),
-           dt=st.floats(1e-3, 0.5))
-    def test_stacked_rows_equal_lone_runs(self, n, a_values, dt):
+           dt=st.floats(1e-3, 0.5), data=st.data())
+    def test_stacked_rows_equal_lone_runs(self, n, a_values, dt, data):
+        # one shared initial state, or one ramp per row
+        shifts = data.draw(st.none() | st.lists(
+            st.floats(-8.0, 8.0), min_size=len(a_values), max_size=len(a_values)))
         cfg = StepperConfig(method="semi-implicit", dt=dt)
-        lone, group = _lone_and_group(n, a_values, cfg)
+        lone, group = _lone_and_group(n, a_values, cfg, shifts=shifts)
         assert len(group) == len(a_values)
         for alone, grouped in zip(lone, group):
             _same_run(alone, grouped)
@@ -468,9 +473,47 @@ class TestIntegrateGroup:
     @pytest.mark.parametrize("method", ["semi-implicit", "rk-adaptive"])
     def test_both_steppers(self, method):
         cfg = StepperConfig(method=method, dt=0.05, abs_tol=1e-7, rel_tol=1e-7)
-        lone, group = _lone_and_group(61, (0.3, 0.45, 0.7), cfg)
-        for alone, grouped in zip(lone, group):
-            _same_run(alone, grouped)
+        for shifts in (None, (0.0, -3.0, 2.5)):   # one initial state, or one per row
+            lone, group = _lone_and_group(61, (0.3, 0.45, 0.7), cfg, shifts=shifts)
+            for alone, grouped in zip(lone, group):
+                _same_run(alone, grouped)
+
+    @pytest.mark.parametrize("last,runs,error,match", [
+        (np.nan, 3, FracfrontError, "^state vector contains NaN or Inf$"),
+        (2e6, 3, FracfrontError, r"^\|u\| reached 2e\+06$"),
+        (0.5, 2, OutOfRangeError, r"^state has shape \(3, 41\)"),   # 3 rows, 2 runs
+    ])
+    def test_initial_states_are_checked_before_the_first_step(
+            self, last, runs, error, match, monkeypatch):
+        steps = []
+        monkeypatch.setattr(fracfront.stepping, "step_semi_implicit",
+                            lambda *args: steps.append(1))
+        g = Grid1D(10.0, 41)
+        ics = np.array([chen_ramp(g.x), chen_ramp(g.x), np.full(g.n, last)])
+        group = integrate_group(ics, make_schedule(1.0, 4), StepperConfig(), g,
+                                FractionalParams(1.6, 0.2), [BistableCubic(0.5)] * runs)
+        with pytest.raises(error, match=match):
+            next(group)
+        assert steps == []
+
+    def test_one_solver_at_a_time(self, monkeypatch):
+        # intervals of 0.05 and 0.03 take steps of 0.05 / 3 and 0.015: the
+        # first solver is gone before the second is built
+        built = []
+        factorization = OperatorMatrix.factorization
+
+        def tracking(self, dt):
+            assert all(ref() is None for ref in built)
+            solve = factorization(self, dt)
+            built.append(weakref.ref(solve))
+            return solve
+
+        monkeypatch.setattr(OperatorMatrix, "factorization", tracking)
+        g = Grid1D(10.0, 41)
+        run = integrate(chen_ramp(g.x), np.array([0.0, 0.05, 0.08]),
+                        StepperConfig(dt=0.02), g, FractionalParams(1.6, 0.2),
+                        BistableCubic(0.5))
+        assert len(built) == 2 and run.stats["steps"] == 5
 
     def test_above_the_dense_limit(self):
         n = (DENSE_INVERSE_MAX_N + 1) | 1
