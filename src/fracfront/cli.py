@@ -12,12 +12,10 @@ value (the message names the flag).
 ``simulate`` runs as a sweep of one configuration.  A sweep's (alpha,
 theta) group, whose configurations differ only in a, is one integration
 (``run_simulations``): semi-implicit steps them as one stack.  Above
-``DENSE_INVERSE_MAX_N`` nodes a sweep runs its groups in forked
-workers (README): each step there is numpy FFT work on one thread,
-while at or below it a semi-implicit step is a BLAS mat-vec that spreads
-over every core (an rk-adaptive sweep, FFT work at every n, runs in-process
-there too until a benchmark workload measures it).  Python 3.12+ warns
-when it forks a process that has threads, as BLAS starts them.
+``DENSE_INVERSE_MAX_N`` nodes a sweep runs its groups in forked workers
+(README); at or below it, a sweep of either stepper stays in-process until
+a small-n sweep workload measures forking (ROADMAP item 2).  Python 3.12+
+warns when it forks a process that has threads, as BLAS starts them.
 """
 
 from __future__ import annotations

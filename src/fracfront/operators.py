@@ -18,10 +18,10 @@ ghost values, which folds onto the boundary nodes.  Under projection
 ghosts all weight past an edge lands on that boundary node, so the apply is
 one FFT correlation of the n nodal values, wrap-free at the smallest
 5-smooth length >= n + M, plus one edge column: O(n log n).  The implicit
-step solves with ``I - dt*A``: by a dense inverse at
-``n <= DENSE_INVERSE_MAX_N``, the only place the dense matrix is built, and
-above it by a ``ToeplitzSolver`` in O(n log n) per step with no n x n array,
-its transforms at the smallest 5-smooth length >= 2n - 1.  The adaptive
+step solves with ``I - dt*A`` by a ``ToeplitzSolver``: at
+``n <= DENSE_INVERSE_MAX_N`` by the dense inverse it builds from its
+generators, above it in O(n log n) per step with no n x n array, its
+transforms at the smallest 5-smooth length >= 2n - 1.  The adaptive
 stepper is matrix-free.  The stencils:
 
 * ``assemble_operator_matrix``: the primary scheme, and the one place that
@@ -57,9 +57,9 @@ import numpy as np
 from .errors import FracfrontError, OutOfRangeError
 from .grids import FractionalParams, Grid1D, quadrature_nodes_weights, validate_state
 
-# Largest n whose implicit solver is the dense inverse.  At 5-smooth FFT
-# lengths the O(n log n) Toeplitz solve matches the dense mat-vec per step
-# near n = 1000 and beats it above; its setup beats the inverse from n = 800
+# Largest n whose implicit step applies the dense inverse.  Per step the
+# Toeplitz solve is even with the einsum mat-vec near n = 400 and 3x faster
+# at 801 (ROADMAP item 18), but no benchmark workload lies in between
 DENSE_INVERSE_MAX_N = 1000
 
 
@@ -190,31 +190,15 @@ class OperatorMatrix:
 
     @property
     def solver(self) -> str:
-        """What ``factorization`` builds: "dense-inverse" or "toeplitz"."""
+        """What ``factorization`` applies: "dense-inverse" or "toeplitz"."""
         return "toeplitz" if self.grid.n > DENSE_INVERSE_MAX_N else "dense-inverse"
 
-    def factorization(self, dt: float):
-        """A new solver of ``I - dt * entries``.
-
+    def factorization(self, dt: float) -> "ToeplitzSolver":
+        """A new solver of ``I - dt * entries``, dense where ``solver`` says so:
         ``factorization(dt) @ r`` solves ``(I - dt * entries) x = r`` for each
-        column of r, shape (n,) or (..., n, k) as numpy's matmul reads it; an
-        (n, 1) column of a stack is solved bit for bit as it is alone (BLAS
-        may round a product with k > 1 columns otherwise).  At
-        ``n <= DENSE_INVERSE_MAX_N`` the solver is the dense inverse; above
-        it, a ``ToeplitzSolver`` holding O(n) arrays.
-        """
-        if self.solver == "toeplitz":
-            return ToeplitzSolver(self, dt)
-        return self._dense_inverse(dt)
-
-    def _dense_inverse(self, dt: float) -> np.ndarray:
-        M = self.entries
-        M *= -dt
-        M[np.diag_indices(self.grid.n)] += 1.0
-        try:
-            return np.linalg.inv(M)
-        except np.linalg.LinAlgError as exc:
-            raise FracfrontError(str(exc)) from exc
+        column of r, shape (n,) or (..., n, k) as numpy's matmul reads it, an
+        (n, 1) column of a stack bit for bit as it is alone."""
+        return ToeplitzSolver(self, dt, dense=self.solver == "dense-inverse")
 
 
 class ToeplitzSolver:
@@ -232,40 +216,60 @@ class ToeplitzSolver:
     (L, U: lower/upper triangular Toeplitz with the given first column/row;
     S: the down shift) then applies T^-1 with four FFT triangular products,
     and a 2-column Woodbury correction adds the folds.  Only O(n) arrays
-    are held.  The solution is within 1e-16 * cond1(I - dt*A) of a dense LU
-    solve, relative to its largest entry (tested up to cond1 = 4e5).  Raises
-    ``FracfrontError`` when the recursion breaks down (a leading minor
-    of T is singular) instead of returning NaN.
+    are held, unless ``dense``: then ``@`` applies ``inverse()`` by einsum.
+    The solution is within 1e-16 * cond1(I - dt*A) of a dense LU solve,
+    relative to its largest entry (tested up to cond1 = 4e5).  Raises
+    ``FracfrontError`` when ``I - dt*A`` is singular to working precision or
+    a leading minor of T is singular, instead of returning NaN.
     """
 
-    def __init__(self, op: OperatorMatrix, dt: float):
-        n, m = op.grid.n, len(op.weights) // 2
+    def __init__(self, op: OperatorMatrix, dt: float, dense: bool = False):
+        n, m, mass = op.grid.n, len(op.weights) // 2, dt * op.row_sum
+        # from 2^53 on, 1 + dt*row_sum rounds the identity's 1 away, and
+        # I - dt*A is a multiple of A, whose rows sum to 0 (NaN, inf too)
+        if not abs(mass) < 2.0 ** 53:
+            raise FracfrontError(f"I - dt*A is singular to working precision: "
+                                 f"dt*row_sum = {mass:.3g}")
         t = -dt * np.pad(op.weights, n - 1 - m)
-        t[n - 1] = 1.0 + dt * op.row_sum
+        t[n - 1] = 1.0 + mass
         # the triangular products are wrap-free at 2n - 1 points
-        self._n, self._size = n, _fft_size(2 * n - 1)
+        self._n, self._size, self.shape = n, _fft_size(2 * n - 1), (n, n)
         # T[:, 0] as a copy: over the reversed view Levinson's dot products
         # would sum in another order, and f and g would change in the last bits
         f, g = self._levinson(t[n - 1::-1].copy(), t[n - 1:])
         self._set_generators(f, g)
         # one step of iterative refinement: Levinson leaves errors of about
-        # cond(T) * eps in f and g, which residuals by direct sums remove (an
-        # FFT product's rounding scales with all of T, not with each row);
-        # windows[i] = T[i, ::-1], summed in row blocks of at most 1 MiB
-        windows = np.lib.stride_tricks.sliding_window_view(t[::-1], n)
-        fg, block = np.stack([f, g], axis=1)[::-1], max(1, (1 << 17) // n)
-        res = -np.concatenate([windows[i:i + block] @ fg for i in range(0, n, block)])
-        res[0, 0] += 1.0
-        res[-1, 1] += 1.0
+        # cond(T) * eps in f and g, which residuals summed row by row remove
+        # (an FFT product's rounding scales with all of T, not with each row)
+        rows = np.lib.stride_tricks.sliding_window_view(t, n)[::-1]   # T[i]
+        res = -np.einsum("ij,kj->ik", rows, np.stack([f, g]))
+        res[[0, -1], [0, 1]] += 1.0   # e_0 - T f and e_(n-1) - T g
         df, dg = self._apply_t(res.T)
-        self._set_generators(f + df, g + dg)
+        self._f, self._g = f + df, g + dg
+        self._set_generators(self._f, self._g)
         z = self._apply_t(-dt * np.stack(op._folds)).T
         cap = np.eye(2) + z[[0, -1]]   # I + V^T T^-1 U, V = [e_0, e_(n-1)]
         det = cap[0, 0] * cap[1, 1] - cap[0, 1] * cap[1, 0]
         if det == 0.0 or not np.isfinite(det):
             raise FracfrontError(
                 f"boundary-fold correction is singular (det = {det})")
-        self._fold = z @ np.linalg.inv(cap)   # n x 2
+        adjugate = [[cap[1, 1], -cap[0, 1]], [-cap[1, 0], cap[0, 0]]]
+        self._fold = np.einsum("ik,kj->ij", z, adjugate) / det   # n x 2
+        self._inverse = self.inverse() if dense else None
+
+    def inverse(self) -> np.ndarray:
+        """The dense inverse of ``I - dt*A`` in O(n^2) elementwise work:
+        Trench's recursion (J. SIAM 12, 1964), the Gohberg-Semencul formula
+        summed along each diagonal, B[i, j] = B[i-1, j-1] + (f[i] g[n-1-j] -
+        g[i-1] f[n-j]) / f[0], then the Woodbury term on B's rows 0, n - 1."""
+        f, g = self._f, self._g
+        B = np.multiply.outer(f, g[::-1])
+        B[1:, 1:] -= np.multiply.outer(g[:-1], f[:0:-1])
+        B /= f[0]
+        for i in range(1, self._n):
+            B[i, 1:] += B[i - 1, :-1]
+        B -= np.einsum("ik,kj->ij", self._fold, B[[0, -1]])
+        return B
 
     def _set_generators(self, f: np.ndarray, g: np.ndarray):
         """Spectra of the Gohberg-Semencul factors of f and g."""
@@ -320,6 +324,9 @@ class ToeplitzSolver:
     def __matmul__(self, rhs: np.ndarray) -> np.ndarray:
         """The solution x of ``(I - dt*A) x = rhs``, as ``factorization`` states."""
         rhs = np.asarray(rhs)
+        if self._inverse is not None:   # each entry summed by numpy's own loop
+            return np.einsum("ij,...j->...i" if rhs.ndim == 1 else "ij,...jk->...ik",
+                             self._inverse, rhs)
         y = self._apply_t(rhs if rhs.ndim == 1 else np.swapaxes(rhs, -1, -2))
         y -= (self._fold @ y[..., [0, -1], None])[..., 0]   # a mat-vec per row
         return y if rhs.ndim == 1 else np.swapaxes(y, -1, -2)

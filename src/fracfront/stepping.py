@@ -6,8 +6,8 @@ Two steppers, named in ``METHODS``:
   reaction.  Equal steps of at most ``dt`` per snapshot interval, so a
   uniform schedule takes one step size and one solver of ``I - dt*A`` per
   run (``OperatorMatrix.factorization``), held by the run alone.  Each step
-  is one dense mat-vec at ``n <= DENSE_INVERSE_MAX_N`` and an O(n log n)
-  Toeplitz solve above it; there the step keeps nonnegativity only to
+  applies the dense inverse by einsum at ``n <= DENSE_INVERSE_MAX_N`` and is
+  an O(n log n) Toeplitz solve above it; either keeps nonnegativity only to
   roundoff (below 1e-16 absolute where the true inverse entries underflow,
   as at alpha = 2 or theta at its edge).  The run's stats name the solver
   and its setup time.  Runs that differ in the reaction's threshold or in

@@ -187,6 +187,25 @@ class TestDeterminism:
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--alpha", "1.7", "--theta", "0.2"],
+        ["simulate", "--alpha", "1.7", "--theta", "0.2", "--n", "801"],
+        ["sweep", "--alphas", "1.7", "--thetas", "0.2", "--a-list", "0.3,0.5,0.7",
+         "--n", "401"],
+    ], ids=["simulate-181", "simulate-801", "sweep-401"])
+    def test_identical_bytes_under_any_blas_thread_count(self, tmp_path, argv):
+        src = str(Path(fracfront.__file__).resolve().parents[1])
+        csvs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            subprocess.run([sys.executable, "-m", "fracfront", *argv, "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            csvs.append({p.relative_to(out): p.read_bytes()
+                         for p in out.rglob("snapshots.csv")})
+        assert len(csvs[0]) == (3 if argv[0] == "sweep" else 1)
+        assert csvs[0] == csvs[1]
+
 
 class TestConfigFile:
     def test_parse_and_types(self, tmp_path):
@@ -729,9 +748,18 @@ class TestExitCodes:
     def test_extreme_admissible_half_width_runs(self, tmp_path, capsys, b,
                                                 stepper):
         out = tmp_path / "run"
-        assert main(["simulate", "--alpha", "1.7", "--theta", "0.2", "--b", b,
-                     "--n", "21", "--stepper", stepper, "--t-final", "1",
-                     "--out", str(out)]) == 0
+        argv = ["simulate", "--alpha", "1.7", "--theta", "0.2", "--b", b,
+                "--n", "21", "--stepper", stepper, "--t-final", "1",
+                "--out", str(out)]
+        if (b, stepper) == ("1e-100", "semi-implicit"):
+            # at h = 1e-101, 1 + dt*row_sum rounds the 1 away: the system
+            # is singular to working precision, and u = 0.5 would end at 0
+            err = self._exits_1(argv, capsys)
+            assert err == ("error: I - dt*A is singular to working precision: "
+                           "dt*row_sum = 1.43e+170\n")
+            assert not out.exists()
+            return
+        assert main(argv) == 0
         assert capsys.readouterr().err == "" and _finite_outputs(out)
 
     def test_dense_singular_system_exits_1(self, tmp_path, capsys):
@@ -739,7 +767,8 @@ class TestExitCodes:
         err = self._exits_1(["simulate", "--alpha", "2", "--theta", "0",
                              "--b", "1e-50", "--n", "21",
                              "--out", str(tmp_path / "run")], capsys)
-        assert err == "error: Singular matrix\n"
+        assert err == ("error: I - dt*A is singular to working precision: "
+                       "dt*row_sum = 4e+100\n")
 
     def test_nonfinite_kernel_exits_1(self, tmp_path, capsys):
         # |xi|^alpha overflows at window = 1e-300, and the kernel is NaN
@@ -785,21 +814,22 @@ class TestExitCodes:
     HUGE_STEP = ["--dt", "1e300", "--t-final", "1e300", "--snapshots", "2"]
     STEP_START = ["--ic", "step", "--step-hi", "1e6"]
 
-    # each overflows in numpy (the dense inverse's setup, the explicit
-    # reaction, the Toeplitz solve's FFTs, the Toeplitz row) before the run
-    # rejects the non-finite value; no numpy warning may print before that
+    # each would overflow in numpy (the dense inverse's setup, the explicit
+    # reaction, the Toeplitz solve's FFTs, the Toeplitz row); at dt = 1e300
+    # the singular-system rule rejects each first, with no numpy warning
     @pytest.mark.parametrize("argv,message", [
-        (["--n", "21", "--b", "1e-100"], "|u| reached nan"),
-        (STEP_START, "|u| reached inf"),
-        ([*STEP_START, "--n", "1201"], "|u| reached nan"),
-        (["--n", "1201", "--b", "1e-90"], "Toeplitz diagonal is inf"),
+        (["--n", "21", "--b", "1e-100"], "inf"),
+        (STEP_START, "1.11e+301"),
+        ([*STEP_START, "--n", "1201"], "2.8e+302"),
+        (["--n", "1201", "--b", "1e-90"], "inf"),
     ], ids=["dense-inverse", "reaction", "toeplitz-solve", "toeplitz-row"])
     def test_overflowing_step_exits_1_without_warnings(self, tmp_path, capsys,
                                                        argv, message):
         out = tmp_path / "run"
         err = self._exits_1(["simulate", "--alpha", "1.7", "--theta", "0.2",
                              *argv, *self.HUGE_STEP, "--out", str(out)], capsys)
-        assert err == f"error: {message}\n"
+        assert err == ("error: I - dt*A is singular to working precision: "
+                       f"dt*row_sum = {message}\n")
 
     def test_overflowing_sweep_workers_print_no_warnings(self, tmp_path, capfd,
                                                          monkeypatch):
@@ -807,7 +837,9 @@ class TestExitCodes:
         assert main(["sweep", "--alphas", "1.7,1.5", "--thetas", "0.2",
                      "--a-list", "0.5", "--n", "1201", *self.STEP_START,
                      *self.HUGE_STEP, "--out", str(tmp_path / "runs")]) == 1
-        assert capfd.readouterr().err == "error: |u| reached nan\n"
+        assert capfd.readouterr().err == (
+            "error: I - dt*A is singular to working precision: "
+            "dt*row_sum = 2.8e+302\n")
 
     def test_overflowing_apply_exits_1_without_warnings(self, tmp_path, capsys):
         grid = Grid1D(10.0, 21)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -444,12 +445,22 @@ class TestToeplitzSolver:
     ])
     def test_breakdown_raises(self, weights, far):
         A = OperatorMatrix(Grid1D(10.0, 21), np.array(weights), far)
-        match = "^Toeplitz diagonal is nan$"
+        match = r"^I - dt\*A is singular to working precision: dt\*row_sum = nan$"
         if np.all(np.isfinite(weights)):
             assert np.linalg.det((np.eye(21) - A.entries)[:2, :2]) == 0.0
             match = "^Levinson recursion broke down at order 2: pivot 0.0$"
         with pytest.raises(FracfrontError, match=match):
             ToeplitzSolver(A, 1.0)
+
+    def test_identity_rounded_away_raises(self):
+        # row_sum = 2: from dt*row_sum = 2^53 on, 1 + dt*row_sum loses the 1
+        A = OperatorMatrix(Grid1D(10.0, 21), np.array([1.0, 0.0, 1.0]))
+        ToeplitzSolver(A, 2.0 ** 52 - 1)
+        for dt in (2.0 ** 52, np.inf):
+            with pytest.raises(FracfrontError, match="^" + re.escape(
+                    "I - dt*A is singular to working precision: "
+                    f"dt*row_sum = {2 * dt:.3g}") + "$"):
+                ToeplitzSolver(A, dt)
 
     def test_levinson_overflow_raises(self):
         # the order-2 pivot is 2^-52 against entries of 1e300, so the
@@ -500,7 +511,7 @@ class TestToeplitzSolver:
         ref = lu_solve(lu_factor(np.eye(1013) - 0.05 * A.entries), rhs)
         assert np.max(np.abs(solver @ rhs - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("n", [61, 181, 1003, 1601])
+    @pytest.mark.parametrize("n", [61, 181, 401, 801, 999, 1003, 1601])
     def test_solves_each_column(self, n):
         # both solvers, one contract: factorization(dt) @ r solves each
         # column of an (n,) or (..., n, k) right-hand side, as matmul reads it
@@ -518,6 +529,10 @@ class TestToeplitzSolver:
         assert stacked.shape == (3, n, 1)
         for k in range(3):   # each bit for bit as the column solved alone
             assert np.array_equal(stacked[k, :, 0], solver @ rhs[:, k])
+        if n <= DENSE_INVERSE_MAX_N:   # the Trench inverse that the step applies
+            system = np.eye(n) - 0.05 * A.entries
+            residual = lambda B: np.max(np.abs(system @ B - np.eye(n)))
+            assert residual(solver.inverse()) <= 4 * residual(np.linalg.inv(system))
 
     def test_identity_gives_the_inverse(self):
         # the columns of a 2-D right-hand side are solved, none folded as a row
