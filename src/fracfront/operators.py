@@ -202,7 +202,7 @@ class OperatorMatrix:
 
 
 class ToeplitzSolver:
-    """Solves ``(I - dt*A) x = r`` for an ``OperatorMatrix`` A in O(n log n).
+    """Solves ``(I - dt*A) x = r`` for an ``OperatorMatrix`` A.
 
     ``I - dt*A`` is a Toeplitz matrix T plus the two boundary-fold columns.
     T is built once, as the 2n - 1 entries t with T[i, j] = t[n - 1 + j - i];
@@ -214,13 +214,13 @@ class ToeplitzSolver:
         f[0] T^-1 = L(f) U(rev g) - L(S g) U(S rev f)
 
     (L, U: lower/upper triangular Toeplitz with the given first column/row;
-    S: the down shift) then applies T^-1 with four FFT triangular products,
-    and a 2-column Woodbury correction adds the folds.  Only O(n) arrays
-    are held, unless ``dense``: then ``@`` applies ``inverse()`` by einsum.
-    The solution is within 1e-16 * cond1(I - dt*A) of a dense LU solve,
-    relative to its largest entry (tested up to cond1 = 4e5).  Raises
-    ``FracfrontError`` when ``I - dt*A`` is singular to working precision or
-    a leading minor of T is singular, instead of returning NaN.
+    S: the down shift) then applies T^-1 with four FFT triangular products
+    in O(n log n), and a 2-column Woodbury correction adds the folds.  Only
+    O(n) arrays are held, unless ``dense``: then ``@`` applies ``inverse()``
+    by einsum in O(n^2).  The solution is within 1e-16 * cond1(I - dt*A) of
+    a dense LU solve, relative to its largest entry (tested up to cond1 =
+    4e5).  Raises ``FracfrontError`` when ``I - dt*A`` is singular to working
+    precision or a leading minor of T is singular, instead of returning NaN.
     """
 
     def __init__(self, op: OperatorMatrix, dt: float, dense: bool = False):

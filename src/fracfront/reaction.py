@@ -1,7 +1,7 @@
 """Bistable reaction terms.
 
-The steppers call only ``f(u)``, front tracking reads the threshold ``a`` and
-the manifest ``potential_gap()``; the built-in cubic covers every experiment.
+The steppers take ``BistableCubic`` alone, a stack's cubics as one with a
+column ``a``; front tracking reads ``a`` and the manifest ``potential_gap()``.
 """
 
 from __future__ import annotations

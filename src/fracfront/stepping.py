@@ -1,6 +1,6 @@
 """Method-of-lines time integration for du/dt = D u + f(u).
 
-Two steppers, named in ``METHODS``:
+Two steppers, named in ``METHODS``, both for ``BistableCubic`` reactions:
 
 * ``semi-implicit``: backward Euler on the linear operator, explicit
   reaction.  Equal steps of at most ``dt`` per snapshot interval, so a
@@ -8,10 +8,10 @@ Two steppers, named in ``METHODS``:
   run (``OperatorMatrix.factorization``), held by the run alone.  Each step
   applies the dense inverse by einsum at ``n <= DENSE_INVERSE_MAX_N`` and is
   an O(n log n) Toeplitz solve above it; either keeps nonnegativity only to
-  roundoff (below 1e-16 absolute where the true inverse entries underflow,
-  as at alpha = 2 or theta at its edge).  The run's stats name the solver
-  and its setup time.  Runs that differ in the reaction's threshold or in
-  their initial state step as one stack of states, one solve per step.
+  roundoff where the true inverse entries underflow: to -1e-16 absolute at
+  alpha = 2, and the Toeplitz solve to -2e-16 at theta's edge (-1.59e-16 at
+  worst).  The run's stats name the solver and its setup time.  Every run
+  steps as a stack of states (the cubic's ``a`` a column), one solve a step.
 * ``rk-adaptive``: explicit embedded Dormand-Prince 5(4) pair with the
   standard safety-factored step controller.  Matrix-free: its right-hand
   side is ``OperatorMatrix.matvec``, one FFT correlation of the state at
@@ -115,9 +115,8 @@ class SimulationResult:
 
 def step_semi_implicit(u: np.ndarray, dt: float, solve,
                        nl: BistableCubic) -> np.ndarray:
-    """Solve (I - dt*A) u_new = u + dt f(u) with ``solve = A.factorization(dt)``
-    for a state, or for each row of a stack of them (``nl.a`` a scalar or a
-    column, one threshold per row) by one solve."""
+    """Solve (I - dt*A) u_new = u + dt f(u), ``solve = A.factorization(dt)``,
+    for a state or, by one solve, each row of a stack (``nl.a`` a column)."""
     return (solve @ (u + dt * nl.f(u))[..., None])[..., 0]
 
 
@@ -205,18 +204,22 @@ def integrate_group(ic, schedule, cfg, grid, params, nls,
     """Yield one run per reaction of ``nls``, in order, from ``ic``: a state
     of shape (n,) for every run, or one per run, shape (len(nls), n).
 
-    Every initial state is checked, magnitude over 1e6 included, before the
-    first step.  Snapshots land on the scheduled times exactly.
-    Semi-implicit takes the fewest equal steps of at most ``cfg.dt`` per
-    interval (the previous size where they differ only in roundoff) and
-    advances the runs as one stack (of cubics that may differ in ``a``),
-    holding one solver at a time; rk-adaptive clips its proposals at each
-    time and steps each run alone.  A run's states and stats are its lone
-    run's, bit for bit, timings aside (``integrate``).  A run whose
-    magnitude exceeds 1e6 raises ``FracfrontError`` once the runs before
-    it are yielded; those after it stop with it.
+    Each reaction must be a ``BistableCubic``, not a subclass, and each
+    initial state is checked, magnitude over 1e6 included, before the first
+    step; no reaction yields no run.  Snapshots land on the scheduled times
+    exactly.  Semi-implicit takes the fewest equal steps of at most ``cfg.dt``
+    per interval (the previous size where they differ only in roundoff) and
+    steps the runs as one stack with a column of thresholds, one solver at a
+    time; rk-adaptive clips its proposals at each time and steps each run
+    alone.  A run's states and stats are its lone run's, bit for bit, timings
+    aside (``integrate``).  A run past 1e6 in magnitude raises
+    ``FracfrontError`` once the runs before it are yielded; those after stop.
     """
     schedule = _check_schedule(schedule)
+    if any(type(nl) is not BistableCubic for nl in nls):   # a subclass may override f
+        raise OutOfRangeError("the steppers take BistableCubic reactions only")
+    if not nls:
+        return
     ic = np.asarray(ic, dtype=float)
     u = np.array([validate_state(row, grid) for row in
                   (ic if ic.shape == (len(nls), grid.n) else [ic] * len(nls))])
@@ -236,9 +239,8 @@ def integrate_group(ic, schedule, cfg, grid, params, nls,
     if counts.sum() > MAX_STEPS:   # before any step is taken
         raise FracfrontError(f"the schedule needs {counts.sum():.3g} steps of "
                              f"dt = {cfg.dt:g}, over MAX_STEPS = {MAX_STEPS}")
-    # a stack's cubics react as one whose threshold is a column, a per run;
-    # a lone run keeps its own reaction
-    nl = nls[0] if len(nls) == 1 else BistableCubic(np.array([[r.a] for r in nls]))
+    # the runs' cubics react as one whose threshold is a column, a per run
+    nl = BistableCubic(np.array([[r.a] for r in nls]))
     states = np.empty((len(nls), len(schedule), grid.n))
     states[:, 0] = u
     steps, setup, step, solve, error = 0, 0.0, cfg.dt, None, None

@@ -187,13 +187,21 @@ class TestDeterminism:
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--alpha", "1.7", "--theta", "0.2"],
-        ["simulate", "--alpha", "1.7", "--theta", "0.2", "--n", "801"],
-        ["sweep", "--alphas", "1.7", "--thetas", "0.2", "--a-list", "0.3,0.5,0.7",
-         "--n", "401"],
-    ], ids=["simulate-181", "simulate-801", "sweep-401"])
-    def test_identical_bytes_under_any_blas_thread_count(self, tmp_path, argv):
+    # in-process semi-implicit runs; rk-adaptive, which steps each
+    # configuration alone; and a sweep above the dense limit, which steps its
+    # two (alpha, theta) groups in forked workers
+    @pytest.mark.parametrize("argv,count", [
+        (["simulate", "--alpha", "1.7", "--theta", "0.2"], 1),
+        (["simulate", "--alpha", "1.7", "--theta", "0.2", "--n", "801"], 1),
+        (["sweep", "--alphas", "1.7", "--thetas", "0.2", "--a-list", "0.3,0.5,0.7",
+          "--n", "401"], 3),
+        (["simulate", "--alpha", "1.5", "--theta", "0.45", "--a", "0.3", "--stepper",
+          "rk-adaptive", "--n", "801", "--t-final", "2"], 1),
+        (["sweep", "--alphas", "1.5", "--thetas=-0.25,0.25", "--a-list", "0.3,0.6",
+          "--n", "1601", "--t-final", "2"], 4),
+    ], ids=["simulate-181", "simulate-801", "sweep-401", "adaptive-801",
+            "forked-sweep-1601"])
+    def test_identical_bytes_under_any_blas_thread_count(self, tmp_path, argv, count):
         src = str(Path(fracfront.__file__).resolve().parents[1])
         csvs = []
         for threads in ("1", "2"):
@@ -203,7 +211,7 @@ class TestDeterminism:
                            env=env, check=True, capture_output=True)
             csvs.append({p.relative_to(out): p.read_bytes()
                          for p in out.rglob("snapshots.csv")})
-        assert len(csvs[0]) == (3 if argv[0] == "sweep" else 1)
+        assert len(csvs[0]) == count
         assert csvs[0] == csvs[1]
 
 

@@ -18,6 +18,7 @@ from fracfront import (
     StepperConfig,
     assemble_operator_matrix,
     chen_ramp,
+    comparison_test,
     integrate,
     integrate_group,
     make_schedule,
@@ -25,6 +26,7 @@ from fracfront import (
     step_semi_implicit,
 )
 from fracfront.operators import DENSE_INVERSE_MAX_N, ToeplitzSolver
+from fracfront.stepping import METHODS
 
 
 class TestConfig:
@@ -90,13 +92,15 @@ class TestSemiImplicit:
         out = step_semi_implicit(u, 0.05, A.factorization(0.05), nl)
         assert np.max(np.abs(out - (u + 0.05 * nl.f(u)))) <= 1e-13
 
-    # (b, n, alpha, theta, dt): operators from acceptance tests 05-08 and
-    # one sweep-fine configuration of the benchmark
+    # (b, n, alpha, theta, dt): operators from acceptance tests 05-08, one
+    # sweep-fine configuration of the benchmark and the theta edge at
+    # alpha = 1.5 above the dense limit
     @pytest.mark.parametrize("b,n,alpha,theta,dt", [
         (30.0, 181, 1.8, 0.1, 0.02), (30.0, 181, 1.5, 0.2, 0.05),
         (30.0, 361, 1.5, -0.15, 0.05), (30.0, 361, 1.5, 0.25, 0.05),
         (40.0, 801, 2.0, 0.0, 0.02), (30.0, 181, 1.8, 0.1, 0.05),
         (30.0, 361, 1.8, 0.1, 0.05), (30.0, 1601, 1.3, -0.15, 0.02),
+        (30.0, 1601, 1.5, 0.5, 0.02), (30.0, 1601, 1.5, -0.5, 0.02),
     ])
     def test_matches_lu_solve(self, b, n, alpha, theta, dt):
         g = Grid1D(b, n)
@@ -110,9 +114,11 @@ class TestSemiImplicit:
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
         # I - dt*A is an M-matrix, so its inverse is nonnegative; its
         # columns come from the solver, a dense inverse or a Toeplitz solve.
-        # At alpha = 2 the true entries underflow, and both keep them only
-        # to the 1e-16 absolute floor of the stepping docstring
-        floor = -1e-16 if alpha == 2.0 else 0.0
+        # Where the true entries underflow, at alpha = 2 or at theta's edge,
+        # it keeps them only to the absolute floors of the stepping
+        # docstring: 1e-16 at alpha = 2, 2e-16 for the Toeplitz solve at
+        # the edge (-1.59e-16 at alpha = 1.5, theta = 0.5, n = 1601)
+        floor = {(801, 2.0): -1e-16, (1601, 1.5): -2e-16}.get((n, alpha), 0.0)
         assert min(np.min(solve @ e) for e in np.eye(n)) >= floor
 
     def test_operator_keeps_no_square_array(self):
@@ -289,18 +295,15 @@ class TestIntegrate:
             integrate(np.full(g.n, 2000.0), make_schedule(10.0, 3), cfg,
                       g, p, BistableCubic(0.5))
 
-    def test_nan_reaction_diverges(self):
-        class NaNAbove:   # a reaction whose value is NaN above u = 0.5
-            a = 0.5
-
-            def f(self, u):
-                return np.where(u > 0.5, np.nan, 0.0)
-
+    def test_nan_reaction_diverges(self, monkeypatch):
+        # a reaction whose value is NaN above u = 0.5
+        monkeypatch.setattr(BistableCubic, "f",
+                            lambda self, u: np.where(u > 0.5, np.nan, 0.0))
         g = Grid1D(10.0, 41)
         cfg = StepperConfig(method="semi-implicit", dt=0.1)
         with pytest.raises(FracfrontError, match=r"^\|u\| reached nan$"):
             integrate(chen_ramp(g.x), make_schedule(1.0, 3), cfg, g,
-                      FractionalParams(1.5, 0.0), NaNAbove())
+                      FractionalParams(1.5, 0.0), BistableCubic(0.5))
 
     def test_step_budget(self, monkeypatch):
         monkeypatch.setattr(fracfront.stepping, "MAX_STEPS", 5)
@@ -498,6 +501,44 @@ class TestIntegrateGroup:
         with pytest.raises(error, match=match):
             next(group)
         assert steps == []
+
+    @pytest.mark.parametrize("method", ["semi-implicit", "rk-adaptive"])
+    def test_only_a_bistable_cubic_is_stepped(self, method, monkeypatch):
+        # a stack reacts as one cubic with a column of thresholds, which
+        # would step a reaction of another type, or a subclass that
+        # overrides f, as the base cubic
+        class Linear:
+            a = 0.5
+
+            def f(self, u):
+                return 0.3 * (u - 0.5)
+
+        class Cubic(BistableCubic):
+            pass
+
+        steps = []
+        for name in ("step_semi_implicit", "step_explicit_rk"):
+            monkeypatch.setattr(fracfront.stepping, name,
+                                lambda *args: steps.append(1))
+        g, p = Grid1D(10.0, 41), FractionalParams(1.6, 0.2)
+        ic, schedule = chen_ramp(g.x), make_schedule(1.0, 3)
+        cfg = StepperConfig(method=method, dt=0.02)
+        for nl in (Linear(), Cubic(0.5)):
+            for nls in ([nl], [nl, nl], [BistableCubic(0.5), nl]):
+                with pytest.raises(OutOfRangeError, match="BistableCubic"):
+                    next(integrate_group(ic, schedule, cfg, g, p, nls))
+            with pytest.raises(OutOfRangeError, match="BistableCubic"):
+                integrate(ic, schedule, cfg, g, p, nl)
+            with pytest.raises(OutOfRangeError, match="BistableCubic"):
+                comparison_test(ic, ic, g, p, nl, cfg, schedule)
+        assert steps == []
+
+    def test_no_reaction_yields_no_run(self):
+        g = Grid1D(10.0, 41)
+        for method in METHODS:
+            assert list(integrate_group(chen_ramp(g.x), make_schedule(1.0, 3),
+                                        StepperConfig(method=method), g,
+                                        FractionalParams(1.6, 0.2), [])) == []
 
     def test_one_solver_at_a_time(self, monkeypatch):
         # intervals of 0.05 and 0.03 take steps of 0.05 / 3 and 0.015: the
