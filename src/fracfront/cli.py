@@ -46,7 +46,6 @@ from .runio import (
     write_manifest,
     write_snapshot_csv,
 )
-from .selftest import run_selftest
 
 # sweep takes lists of these three instead (--alphas, --thetas, --a-list)
 _SWEEP_LISTS = {"alpha": "alphas", "theta": "thetas", "a": "a_list"}
@@ -245,6 +244,7 @@ def float_list(text: str) -> list[float]:
 
 
 def _cmd_selftest(parser, args) -> int:
+    from .selftest import run_selftest   # here only: no other command loads it
     return run_selftest()
 
 

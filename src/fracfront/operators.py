@@ -261,14 +261,25 @@ class ToeplitzSolver:
         """The dense inverse of ``I - dt*A`` in O(n^2) elementwise work:
         Trench's recursion (J. SIAM 12, 1964), the Gohberg-Semencul formula
         summed along each diagonal, B[i, j] = B[i-1, j-1] + (f[i] g[n-1-j] -
-        g[i-1] f[n-j]) / f[0], then the Woodbury term on B's rows 0, n - 1."""
-        f, g = self._f, self._g
+        g[i-1] f[n-j]) / f[0], then the Woodbury term on B's rows 0, n - 1.
+
+        B is the one n x n array built: each row is finished in place, and
+        the Woodbury term is subtracted in blocks of isqrt(n) rows.  Every
+        entry takes the same operations in the same order as in whole-array
+        form (both outer products, then the division, then the diagonal
+        sums), so the result is the same bit for bit."""
+        n, f, g = self._n, self._f, self._g
         B = np.multiply.outer(f, g[::-1])
-        B[1:, 1:] -= np.multiply.outer(g[:-1], f[:0:-1])
-        B /= f[0]
-        for i in range(1, self._n):
-            B[i, 1:] += B[i - 1, :-1]
-        B -= np.einsum("ik,kj->ij", self._fold, B[[0, -1]])
+        rev_f, term = f[:0:-1], np.empty(n - 1)
+        B[0] /= f[0]
+        for i in range(1, n):
+            row = B[i]
+            row[1:] -= np.multiply(g[i - 1], rev_f, out=term)
+            row /= f[0]
+            row[1:] += B[i - 1, :-1]
+        ends, block = B[[0, -1]], math.isqrt(n)   # a copy of the rows it reads
+        for r in range(0, n, block):
+            B[r:r + block] -= np.einsum("ik,kj->ij", self._fold[r:r + block], ends)
         return B
 
     def _set_generators(self, f: np.ndarray, g: np.ndarray):

@@ -1288,10 +1288,12 @@ class TestRunConfigFlags:
 
 def test_import_loads_no_scipy():
     """The library and its CLI run on numpy alone, and the CLI imports the
-    worker-pool modules only when a sweep forks workers."""
+    worker-pool modules only when a sweep forks workers and the invariant
+    suite only for ``selftest``."""
     code = ("import sys, fracfront, fracfront.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-            "('scipy', 'multiprocessing') or m.startswith('concurrent.futures')))")
+            "('scipy', 'multiprocessing') or m.startswith('concurrent.futures') "
+            "or m == 'fracfront.selftest'))")
     src = str(Path(fracfront.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -1,9 +1,10 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon
@@ -263,9 +264,9 @@ class TestAgainstBruteForce:
 
 
 @st.composite
-def _schemes(draw):
-    """Odd n in [5, 401], admissible (alpha, theta) with both edges, tail."""
-    n = 2 * draw(st.integers(2, 200)) + 1
+def _schemes(draw, max_n=401):
+    """Odd n in [5, max_n], admissible (alpha, theta) with both edges, tail."""
+    n = 2 * draw(st.integers(2, (max_n - 1) // 2)) + 1
     alpha = draw(st.floats(1.01, 1.99))
     edge = 2.0 - alpha
     theta = draw(st.sampled_from([edge, -edge]) | st.floats(-edge, edge))
@@ -400,12 +401,25 @@ class TestFftLengths:
 # ---------------------------------------------------------------------------
 
 @st.composite
-def _implicit_systems(draw):
+def _implicit_systems(draw, max_n=401):
     """A scheme from ``_schemes`` (one in five at alpha = 2) and a dt."""
-    grid, p, tail = draw(_schemes())
+    grid, p, tail = draw(_schemes(max_n))
     if draw(st.integers(0, 4)) == 0:
         p = CLASSICAL
     return grid, p, tail, draw(st.floats(1e-3, 1.0))
+
+
+def _vectorized_trench(solver):
+    """Trench's inverse by whole-array operations, two n x n arrays at its
+    peak: the reference that ``ToeplitzSolver.inverse`` matches bit for bit."""
+    f, g = solver._f, solver._g
+    B = np.multiply.outer(f, g[::-1])
+    B[1:, 1:] -= np.multiply.outer(g[:-1], f[:0:-1])
+    B /= f[0]
+    for i in range(1, solver._n):
+        B[i, 1:] += B[i - 1, :-1]
+    B -= np.einsum("ik,kj->ij", solver._fold, B[[0, -1]])
+    return B
 
 
 class TestToeplitzSolver:
@@ -534,6 +548,15 @@ class TestToeplitzSolver:
             residual = lambda B: np.max(np.abs(system @ B - np.eye(n)))
             assert residual(solver.inverse()) <= 4 * residual(np.linalg.inv(system))
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(_implicit_systems(DENSE_INVERSE_MAX_N))
+    @example((Grid1D(30.0, 999), FractionalParams(1.5, 0.5), True, 1.0))
+    def test_inverse_matches_the_vectorized_recursion(self, system):
+        # built in place, each entry takes the same operations in the same order
+        grid, p, tail, dt = system
+        solver = ToeplitzSolver(assemble_operator_matrix(grid, p, tail), dt)
+        assert np.array_equal(solver.inverse(), _vectorized_trench(solver))
+
     def test_identity_gives_the_inverse(self):
         # the columns of a 2-D right-hand side are solved, none folded as a row
         n = 1003
@@ -563,6 +586,22 @@ class TestToeplitzSolver:
         arrays = [v for x in held for v in (x if isinstance(x, tuple) else [x])
                   if isinstance(v, np.ndarray)]
         assert len(arrays) >= 5 and max(a.size for a in arrays) <= 4 * n
+
+    # the dense inverse is itself 8 n^2 bytes, and whole-array operations
+    # on it would hold a second one; the Toeplitz setup holds O(n) arrays
+    @pytest.mark.parametrize("n,bound", [(401, 1.25 * 8 * 401 ** 2),
+                                         (1601, 64 * 8 * 1601)],
+                             ids=["dense-401", "toeplitz-1601"])
+    def test_setup_memory_is_bounded(self, n, bound):
+        A = assemble_operator_matrix(Grid1D(30.0, n), FractionalParams(1.7, 0.2))
+        A.factorization(0.02)   # warm up the operator's cached spectra and folds
+        tracemalloc.start()
+        try:
+            A.factorization(0.02)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 # ---------------------------------------------------------------------------
