@@ -11,11 +11,10 @@ value (the message names the flag).
 
 ``simulate`` runs as a sweep of one configuration.  A sweep's (alpha,
 theta) group, whose configurations differ only in a, is one integration
-(``run_simulations``): semi-implicit steps them as one stack.  Above
-``DENSE_INVERSE_MAX_N`` nodes a sweep runs its groups in forked workers
-(README); at or below it, a sweep of either stepper stays in-process until
-a small-n sweep workload measures forking (ROADMAP item 2).  Python 3.12+
-warns when it forks a process that has threads, as BLAS starts them.
+(``run_simulations``): semi-implicit steps them as one stack.  A sweep of
+two or more groups runs them in forked workers, one per CPU (README); one
+group, one CPU or no ``fork`` runs in-process.  Python 3.12+ warns when it
+forks a process that has threads, as BLAS starts them.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from . import __version__
 from .diagnostics import estimate_speed, green_function
 from .errors import FracfrontError, OutOfRangeError
 from .grids import FractionalParams
-from .operators import DENSE_INVERSE_MAX_N, apply_riesz_feller
+from .operators import apply_riesz_feller
 from .runio import (
     CONFIG_TYPES,
     RunConfig,
@@ -201,8 +200,8 @@ def _run_group(group: list) -> tuple[list, Exception | None]:
 
 def _run_groups(groups: list) -> None:
     """Run the groups, in forked workers (one per CPU) if there are two or
-    more above ``DENSE_INVERSE_MAX_N`` nodes and fork is available; print
-    each group's lines in configuration order once it is done.
+    more and fork is available; print each group's lines in configuration
+    order once it is done.
 
     The first error in configuration order is raised once the lines before
     it are printed.  In-process, the groups after it never run; groups a
@@ -210,7 +209,7 @@ def _run_groups(groups: list) -> None:
     """
     pool, broken, run = None, (), map   # in-process no worker can die
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if len(groups) > 1 and groups[0][0].n > DENSE_INVERSE_MAX_N and cpus > 1:
+    if len(groups) > 1 and cpus > 1:
         import multiprocessing   # here only: a serial run never pays its import
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor

@@ -417,7 +417,9 @@ class TestCLI:
             alive.append(weakref.ref(operator))
             return operator
 
-        # the cli builds no operator: each group's integration builds its own
+        # the cli builds no operator: each group's integration builds its own;
+        # on one CPU the groups run in this process, one after the other
+        _cpus(monkeypatch, 1)
         monkeypatch.setattr("fracfront.stepping.assemble_operator_matrix", counting)
         flags = ["--n", "61", "--b", "10", "--t-final", "0.5", "--dt", "0.05",
                  "--snapshots", "3"]
@@ -1005,8 +1007,8 @@ def _cpus(monkeypatch, count):
 
 
 class TestParallelSweep:
-    """Above ``DENSE_INVERSE_MAX_N`` a sweep runs its (alpha, theta) groups in
-    forked workers; the outputs and the printed lines are those of a serial run."""
+    """A sweep of two or more (alpha, theta) groups runs them in forked
+    workers; the outputs and the printed lines are those of a serial run."""
 
     THETAS, A_LIST = ("-0.1", "0.1"), ("0.4", "0.6")
     FLAGS = ["--b", "10", "--t-final", "0.5", "--dt", "0.05", "--snapshots", "6"]
@@ -1058,13 +1060,19 @@ class TestParallelSweep:
     @pytest.mark.parametrize("n,cpus", [(61, None), (1001, 1)])
     def test_small_grids_and_one_cpu_run_in_process(self, tmp_path, capsys,
                                                     monkeypatch, n, cpus):
+        # a small grid forks on the host's CPUs as a large one does (when
+        # there are two or more); one CPU runs in this process at any n
         _record_pid(monkeypatch)
         if cpus is not None:
             _cpus(monkeypatch, cpus)
+        forked = len(os.sched_getaffinity(0)) > 1
         assert self._sweep(tmp_path, n) == 0
-        for label in self._labels():
-            manifest = json.loads((tmp_path / label / "manifest.json").read_text())
-            assert manifest["diagnostics"]["pid"] == os.getpid()
+        pids = {json.loads((tmp_path / label / "manifest.json").read_text())
+                ["diagnostics"]["pid"] for label in self._labels()}
+        if forked:
+            assert os.getpid() not in pids
+        else:
+            assert pids == {os.getpid()}
         assert len(capsys.readouterr().out.splitlines()) == 4
 
 
@@ -1299,6 +1307,25 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_selftest_reports_failing_and_raising_groups(capsys, monkeypatch):
+    """``selftest`` prints FAIL for a group that fails or raises, still runs
+    the groups after it, and exits 1."""
+    from fracfront import selftest
+
+    def raising():
+        raise ValueError("no lattice")
+
+    monkeypatch.setattr(selftest, "GROUPS", (
+        ("passing", lambda: (True, "fine")),
+        ("failing", lambda: (False, "detail")),
+        ("raising", raising),
+        ("last", lambda: (True, "still runs"))))
+    assert main(["selftest"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS passing: fine", "FAIL failing: detail",
+        "FAIL raising: raised ValueError: no lattice", "PASS last: still runs"]
 
 
 def _unparsable_by(parse):

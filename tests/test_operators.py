@@ -456,11 +456,15 @@ class TestToeplitzSolver:
         # of I - dt*A and of its Toeplitz part is singular
         ([-1.0, 0.0, -1.0], (0.5, -0.5)),
         ([np.nan, 0.0, 1.0], (0.0, 0.0)),
+        # the Toeplitz diagonal 1 + dt*row_sum, which Levinson divides by, is 0
+        ([-0.5, 0.0, -0.5], (0.0, 0.0)),
     ])
     def test_breakdown_raises(self, weights, far):
         A = OperatorMatrix(Grid1D(10.0, 21), np.array(weights), far)
         match = r"^I - dt\*A is singular to working precision: dt\*row_sum = nan$"
-        if np.all(np.isfinite(weights)):
+        if 1.0 + A.row_sum == 0.0:
+            match = r"^Toeplitz diagonal is 0\.0$"
+        elif np.all(np.isfinite(weights)):
             assert np.linalg.det((np.eye(21) - A.entries)[:2, :2]) == 0.0
             match = "^Levinson recursion broke down at order 2: pivot 0.0$"
         with pytest.raises(FracfrontError, match=match):
