@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import FracfrontError, OutOfRangeError
 from .grids import FractionalParams, Grid1D, _integral_count, validate_state
-from .operators import riesz_feller_symbol
+from .operators import assemble_operator_matrix, riesz_feller_symbol
 from .reaction import BistableCubic
 from .stepping import SimulationResult, StepperConfig, integrate_group
 
@@ -252,15 +252,15 @@ def comparison_test(
     schedule: np.ndarray,
     operator=None,
 ) -> tuple[bool, float]:
-    """Evolve an ordered pair as one two-row stack; check order persists.
-
-    Returns ``(ordered, min_gap)`` where ``min_gap`` is the minimum of
-    (high - low) over all snapshot nodes and ``ordered`` means it stays
-    above -1e-10.
+    """Evolve an ordered pair as one two-row stack on ``operator`` and its
+    grid (built from ``grid`` and ``params`` if None); check order persists:
+    ``(ordered, min_gap)``, ``min_gap`` the minimum of (high - low) over all
+    snapshot nodes, ``ordered`` that it stays above -1e-10.
     """
-    pair = np.array([validate_state(ic, grid) for ic in (ic_low, ic_high)])
-    lo, hi = integrate_group(pair, schedule, cfg, grid, params, [nl, nl],
-                             operator=operator)
+    if operator is None:
+        operator = assemble_operator_matrix(grid, params)
+    pair = np.array([validate_state(ic, operator.grid) for ic in (ic_low, ic_high)])
+    lo, hi = integrate_group(pair, schedule, cfg, operator, [nl, nl])
     gap = hi.states - lo.states
     min_gap = float(gap.min())
     return min_gap >= -1e-10, min_gap

@@ -27,7 +27,7 @@ from . import __version__
 from .diagnostics import STEP_HI, STEP_LO, estimate_decay_rate, estimate_speed, make_ic
 from .errors import FracfrontError, OutOfRangeError
 from .grids import FractionalParams, Grid1D, quadrature_nodes_weights
-from .operators import quadrature_coefficients
+from .operators import assemble_operator_matrix, quadrature_coefficients
 from .reaction import BistableCubic
 from .stepping import (METHODS, SimulationResult, StepperConfig, integrate_group,
                        make_schedule)
@@ -80,19 +80,19 @@ def run_simulation(config: RunConfig) -> tuple[SimulationResult, dict]:
 def run_simulations(configs: list):
     """Yield ``(result, diagnostics)`` per configuration, in order, for
     configurations that differ only in ``a`` and ``out``: one integration
-    on one operator (``integrate_group``).  The diagnostics hold the front
-    speed and decay-rate fit when they are measurable for the run (None
-    entries otherwise).  A configuration that fails raises its error once
-    those before it are yielded."""
+    (``integrate_group``) on the one operator it assembles for them.  The
+    diagnostics hold the front speed and decay-rate fit when they are
+    measurable for the run (None entries otherwise).  A configuration that
+    fails raises its error once those before it are yielded."""
     config = configs[0]
     if any(dataclasses.replace(c, a=config.a, out=config.out) != config
            for c in configs):
         raise ValueError("a group's configurations may differ only in a and out")
     params, grid, _, cfg, schedule = config.validated()
     ic = make_ic(config.ic, grid, config.step_lo, config.step_hi)
-    for result in integrate_group(ic, schedule, cfg, grid, params,
-                                  [BistableCubic(c.a) for c in configs],
-                                  config.tail_correction):
+    operator = assemble_operator_matrix(grid, params, config.tail_correction)
+    for result in integrate_group(ic, schedule, cfg, operator,
+                                  [BistableCubic(c.a) for c in configs]):
         diag = {"speed": None, "speed_intercept": None, "speed_residual": None}
         try:
             est = estimate_speed(result)

@@ -19,9 +19,9 @@ Two steppers, named in ``METHODS``, both for ``BistableCubic`` reactions:
   into an edge column.  First-same-as-last: a run
   evaluates the right-hand side 6 times per trial step, plus once.
 
-``integrate_group`` drives either of them through a snapshot schedule once
-per reaction, landing on each requested time exactly (the reported times
-are the schedule's floats); ``integrate`` is its run for one reaction.
+``integrate_group`` steps the operator it is given, on its grid, once per
+reaction through a snapshot schedule, landing on each requested time exactly
+(the reported times are the schedule's floats); ``integrate`` runs one reaction.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def _check_schedule(schedule: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SimulationResult:
-    """Snapshot series plus the grid and reaction (the operator is the caller's)."""
+    """Snapshot series plus the reaction and the grid of the operator stepped."""
 
     times: np.ndarray        # (k,)
     states: np.ndarray       # (k, n)
@@ -188,21 +188,22 @@ def integrate(
     operator: Optional[OperatorMatrix] = None,
 ) -> SimulationResult:
     """Advance the initial profile ``ic``, shape (n,), through the snapshot
-    schedule: the run of ``integrate_group`` with the one reaction ``nl``.
+    schedule: the run of ``integrate_group`` with the one reaction ``nl`` on
+    ``operator``, built from ``grid``, ``params`` and ``tail_correction`` if None.
 
-    ``stats.wall_time_s`` is the wall time of the stepping, solver setup
-    (``stats.solver_setup_s``) included.  A run stepped in a group with
-    others reads the group's wall time, and only the group's first run is
-    charged the setup.
+    ``stats.wall_time_s`` is the wall time of the stepping, a semi-implicit
+    run's solver setup (``stats.solver_setup_s``) included; in a group, the
+    group's, whose first run alone is charged the setup.
     """
-    return next(integrate_group(ic, schedule, cfg, grid, params, [nl],
-                                tail_correction, operator))
+    if operator is None:
+        operator = assemble_operator_matrix(grid, params, tail_correction)
+    return next(integrate_group(ic, schedule, cfg, operator, [nl]))
 
 
-def integrate_group(ic, schedule, cfg, grid, params, nls,
-                    tail_correction=False, operator=None):
-    """Yield one run per reaction of ``nls``, in order, from ``ic``: a state
-    of shape (n,) for every run, or one per run, shape (len(nls), n).
+def integrate_group(ic, schedule, cfg, operator, nls):
+    """Yield one run per reaction of ``nls``, in order, on ``operator`` and
+    its grid, from ``ic``: a state of shape (n,) for every run, or one per
+    run, shape (len(nls), n).
 
     Each reaction must be a ``BistableCubic``, not a subclass, and each
     initial state is checked, magnitude over 1e6 included, before the first
@@ -220,15 +221,13 @@ def integrate_group(ic, schedule, cfg, grid, params, nls,
         raise OutOfRangeError("the steppers take BistableCubic reactions only")
     if not nls:
         return
-    ic = np.asarray(ic, dtype=float)
+    grid, ic = operator.grid, np.asarray(ic, dtype=float)
     u = np.array([validate_state(row, grid) for row in
                   (ic if ic.shape == (len(nls), grid.n) else [ic] * len(nls))])
     # each run's (u_min, u_max), before the first f(u), which could overflow
     bounds = [_bounded(row) for row in u]
-    if operator is None:
-        operator = assemble_operator_matrix(grid, params, tail_correction)
     if cfg.method == "rk-adaptive":
-        yield from (_adaptive(row, lo, hi, schedule, cfg, operator, nl, grid)
+        yield from (_adaptive(row, lo, hi, schedule, cfg, operator, nl)
                     for row, (lo, hi), nl in zip(u, bounds, nls))
         return
     spans = np.diff(schedule)
@@ -278,7 +277,7 @@ def integrate_group(ic, schedule, cfg, grid, params, nls,
         raise error
 
 
-def _adaptive(u, lo, hi, schedule, cfg, operator, nl, grid) -> SimulationResult:
+def _adaptive(u, lo, hi, schedule, cfg, operator, nl) -> SimulationResult:
     """The run of one reaction, stepped alone under its own controller."""
     stats = {"steps": 0, "rejected_steps": 0, "u_min": lo, "u_max": hi}
     states, wall0 = [u], time.perf_counter()
@@ -314,4 +313,4 @@ def _adaptive(u, lo, hi, schedule, cfg, operator, nl, grid) -> SimulationResult:
                 dt = max(dt, dt_next) if (clipped and accepted) else dt_next
             states.append(u)
     stats["wall_time_s"] = time.perf_counter() - wall0
-    return SimulationResult(schedule.copy(), np.array(states), grid, nl, stats)
+    return SimulationResult(schedule.copy(), np.array(states), operator.grid, nl, stats)

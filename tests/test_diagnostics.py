@@ -14,6 +14,7 @@ from fracfront import (
     RunConfig,
     SimulationResult,
     StepperConfig,
+    assemble_operator_matrix,
     bounds_check,
     chen_ramp,
     comparison_test,
@@ -541,8 +542,8 @@ class TestUniqueWave:
                         smoothstep((x - 4.0) / 16.0 + 0.5),
                         0.5 * (1.0 + np.tanh(x + 6.0)), step_profile(x, 0.3, 0.8)])
         cfg, schedule = StepperConfig(dt=0.02), make_schedule(40.0, 41)
-        runs = list(integrate_group(ics, schedule, cfg, g, p, [nl] * len(ics),
-                                    tail_correction=True))
+        runs = list(integrate_group(ics, schedule, cfg,
+                                    assemble_operator_matrix(g, p, True), [nl] * len(ics)))
         speeds = np.array([estimate_speed(run).speed for run in runs])
         assert np.ptp(speeds) <= 1e-4 * np.min(np.abs(speeds))
         for ic, run in zip(ics, runs):   # each row is its lone run
@@ -595,9 +596,9 @@ class TestFrontLikeStatesOneSpeed:
     def test_one_speed_and_ordered_translates(self, alpha, edge, a, data):
         g = Grid1D(30.0, 181)
         ics = _draw_fronts(data, g.x, g.b / 3)
+        A = assemble_operator_matrix(g, FractionalParams(alpha, edge * (2.0 - alpha)))
         runs = list(integrate_group(ics, make_schedule(20.0, 21), StepperConfig(dt=0.05),
-                                    g, FractionalParams(alpha, edge * (2.0 - alpha)),
-                                    [BistableCubic(a)] * len(ics)))
+                                    A, [BistableCubic(a)] * len(ics)))
         speeds = [estimate_speed(run).speed for run in runs]
         assert np.ptp(speeds) <= self.SPREAD
         assert np.min(runs[1].states - runs[0].states) >= -1e-10

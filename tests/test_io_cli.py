@@ -417,10 +417,10 @@ class TestCLI:
             alive.append(weakref.ref(operator))
             return operator
 
-        # the cli builds no operator: each group's integration builds its own;
-        # on one CPU the groups run in this process, one after the other
+        # the cli builds no operator: each group's run_simulations builds its
+        # own; on one CPU the groups run in this process, one after the other
         _cpus(monkeypatch, 1)
-        monkeypatch.setattr("fracfront.stepping.assemble_operator_matrix", counting)
+        monkeypatch.setattr("fracfront.runio.assemble_operator_matrix", counting)
         flags = ["--n", "61", "--b", "10", "--t-final", "0.5", "--dt", "0.05",
                  "--snapshots", "3"]
         assert main(["sweep", "--alphas", "1.5", "--thetas=-0.1,0.1",

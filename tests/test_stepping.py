@@ -442,7 +442,7 @@ def _lone_and_group(n, a_values, cfg, t_final=1.0, snapshots=4,
     ic = rows[0] if shifts is None else np.array(rows)
     lone = [integrate(row, sched, cfg, g, params, BistableCubic(a))
             for row, a in zip(rows, a_values)]
-    group = list(integrate_group(ic, sched, cfg, g, params,
+    group = list(integrate_group(ic, sched, cfg, assemble_operator_matrix(g, params),
                                  [BistableCubic(a) for a in a_values]))
     return lone, group
 
@@ -496,8 +496,9 @@ class TestIntegrateGroup:
                             lambda *args: steps.append(1))
         g = Grid1D(10.0, 41)
         ics = np.array([chen_ramp(g.x), chen_ramp(g.x), np.full(g.n, last)])
-        group = integrate_group(ics, make_schedule(1.0, 4), StepperConfig(), g,
-                                FractionalParams(1.6, 0.2), [BistableCubic(0.5)] * runs)
+        group = integrate_group(ics, make_schedule(1.0, 4), StepperConfig(),
+                                assemble_operator_matrix(g, FractionalParams(1.6, 0.2)),
+                                [BistableCubic(0.5)] * runs)
         with pytest.raises(error, match=match):
             next(group)
         assert steps == []
@@ -526,19 +527,55 @@ class TestIntegrateGroup:
         for nl in (Linear(), Cubic(0.5)):
             for nls in ([nl], [nl, nl], [BistableCubic(0.5), nl]):
                 with pytest.raises(OutOfRangeError, match="BistableCubic"):
-                    next(integrate_group(ic, schedule, cfg, g, p, nls))
+                    next(integrate_group(ic, schedule, cfg,
+                                         assemble_operator_matrix(g, p), nls))
             with pytest.raises(OutOfRangeError, match="BistableCubic"):
                 integrate(ic, schedule, cfg, g, p, nl)
             with pytest.raises(OutOfRangeError, match="BistableCubic"):
                 comparison_test(ic, ic, g, p, nl, cfg, schedule)
         assert steps == []
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_runs_are_on_the_operators_grid(self, method):
+        # an operator carries its grid: a grid passed beside it labels nothing
+        wide, narrow = Grid1D(20.0, 61), Grid1D(10.0, 61)
+        p, nl = FractionalParams(1.7, 0.2), BistableCubic(0.3)
+        A = assemble_operator_matrix(wide, p)
+        low, sched = chen_ramp(wide.x), make_schedule(1.0, 4)
+        high = np.minimum(low + 0.05 * np.exp(-(wide.x / 4) ** 2), 1.0)
+        cfg = StepperConfig(method=method, dt=0.05)
+        alone = integrate(low, sched, cfg, wide, p, nl)
+        for run in (integrate(low, sched, cfg, narrow, p, nl, operator=A),
+                    *integrate_group(low, sched, cfg, A, [nl, nl])):
+            assert run.grid is A.grid
+            _same_run(alone, run)
+        assert (comparison_test(low, high, narrow, p, nl, cfg, sched, operator=A)
+                == comparison_test(low, high, wide, p, nl, cfg, sched))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_state_off_the_operators_grid_is_refused(self, method, monkeypatch):
+        steps = []
+        for name in ("step_semi_implicit", "step_explicit_rk"):
+            monkeypatch.setattr(fracfront.stepping, name,
+                                lambda *args: steps.append(1))
+        g, p, nl = Grid1D(10.0, 61), FractionalParams(1.7, 0.2), BistableCubic(0.3)
+        A = assemble_operator_matrix(Grid1D(10.0, 81), p)
+        ic, sched = chen_ramp(g.x), make_schedule(1.0, 4)
+        cfg = StepperConfig(method=method, dt=0.05)
+        for run in (lambda: integrate(ic, sched, cfg, g, p, nl, operator=A),
+                    lambda: next(integrate_group(ic, sched, cfg, A, [nl, nl])),
+                    lambda: comparison_test(ic, ic, g, p, nl, cfg, sched, operator=A)):
+            with pytest.raises(OutOfRangeError,
+                               match=r"^state has shape \(61,\), grid expects \(81,\)$"):
+                run()
+        assert steps == []
+
     def test_no_reaction_yields_no_run(self):
         g = Grid1D(10.0, 41)
+        A = assemble_operator_matrix(g, FractionalParams(1.6, 0.2))
         for method in METHODS:
             assert list(integrate_group(chen_ramp(g.x), make_schedule(1.0, 3),
-                                        StepperConfig(method=method), g,
-                                        FractionalParams(1.6, 0.2), [])) == []
+                                        StepperConfig(method=method), A, [])) == []
 
     def test_one_solver_at_a_time(self, monkeypatch):
         # intervals of 0.05 and 0.03 take steps of 0.05 / 3 and 0.015: the
@@ -584,8 +621,8 @@ class TestIntegrateGroup:
             np.asarray(self.a) == 0.5, 1e9, cubic(self, u)))
         cfg = StepperConfig(method=method, dt=0.05)
         g = Grid1D(10.0, 41)
-        runs = integrate_group(chen_ramp(g.x), make_schedule(1.0, 4), cfg, g,
-                               FractionalParams(1.6, 0.2),
+        A = assemble_operator_matrix(g, FractionalParams(1.6, 0.2))
+        runs = integrate_group(chen_ramp(g.x), make_schedule(1.0, 4), cfg, A,
                                [BistableCubic(a) for a in (0.3, 0.5, 0.7)])
         first = next(runs)
         with pytest.raises(FracfrontError, match=r"^\|u\| reached "):
@@ -595,6 +632,5 @@ class TestIntegrateGroup:
                           FractionalParams(1.6, 0.2), BistableCubic(0.3))
         _same_run(alone, first)
         with pytest.raises(FracfrontError, match=r"^\|u\| reached "):
-            next(integrate_group(chen_ramp(g.x), make_schedule(1.0, 4), cfg, g,
-                                 FractionalParams(1.6, 0.2),
+            next(integrate_group(chen_ramp(g.x), make_schedule(1.0, 4), cfg, A,
                                  [BistableCubic(a) for a in (0.5, 0.3)]))
