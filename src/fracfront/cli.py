@@ -12,9 +12,9 @@ value (the message names the flag).
 ``simulate`` runs as a sweep of one configuration.  A sweep's (alpha,
 theta) group, whose configurations differ only in a, is one integration
 (``run_simulations``): semi-implicit steps them as one stack.  A sweep of
-two or more groups runs them in forked workers, one per CPU (README); one
-group, one CPU or no ``fork`` runs in-process.  Python 3.12+ warns when it
-forks a process that has threads, as BLAS starts them.
+two or more groups forks one child per group, at most one per CPU alive at
+once (README); one group, one CPU or no ``fork`` runs in-process.  Python
+3.12+ warns when it forks a process that has threads, as BLAS starts them.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import dataclasses
 import itertools
 import json
 import os
+import pickle
 import sys
 from pathlib import Path
 
@@ -199,42 +200,72 @@ def _run_group(group: list) -> tuple[list, Exception | None]:
 
 
 def _run_groups(groups: list) -> None:
-    """Run the groups, in forked workers (one per CPU) if there are two or
-    more and fork is available; print each group's lines in configuration
-    order once it is done.
-
-    The first error in configuration order is raised once the lines before
-    it are printed.  In-process, the groups after it never run; groups a
-    worker has already taken still finish, and the others are cancelled.
-    """
-    pool, broken, run = None, (), map   # in-process no worker can die
+    """Run the groups, in forked children (``_forked``) if there are two or
+    more, two or more CPUs and ``os.fork``; print each group's lines in
+    configuration order once it is done.  The first error in that order is
+    raised once the lines before it are printed.  After it no group starts;
+    groups a child has started still finish."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if len(groups) > 1 and cpus > 1:
-        import multiprocessing   # here only: a serial run never pays its import
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool as broken
-            pool = ProcessPoolExecutor(min(len(groups), cpus),
-                                       mp_context=multiprocessing.get_context("fork"))
-            run = pool.map
+    # in-process a group runs only once the last is printed
+    outcomes = (_forked(groups, cpus)
+                if len(groups) > 1 and cpus > 1 and hasattr(os, "fork")
+                else (_run_group(group) for group in groups))
     try:
-        # the builtin map is lazy: a group runs only once the last is printed
-        outcomes = run(_run_group, groups)
-        for group in groups:
-            try:
-                lines, error = next(outcomes)
-            except broken as exc:
-                raise FracfrontError(
-                    f"sweep group alpha={group[0].alpha:g} "
-                    f"theta={group[0].theta:g}: a worker process ended "
-                    f"abruptly") from exc
+        for lines, error in outcomes:
             for line in lines:
                 print(line)
             if error is not None:
                 raise error
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        outcomes.close()
+
+
+def _forked(groups: list, cpus: int):
+    """Yield each group's ``_run_group`` outcome in configuration order, the
+    group run in a child forked for it once fewer than ``cpus`` are alive.
+    The child pickles its outcome, or the exception raised (re-raised here),
+    into its own pipe and leaves by ``os._exit``; a pipe that closes without
+    a whole outcome yields a dead worker's error.  Closed, the generator
+    starts no group and reaps the children it started, and only those."""
+    import select   # here only: an in-process run never loads it
+    pending, running, done = iter(enumerate(groups)), {}, {}   # running: fd: (pid, i)
+    try:
+        for i in range(len(groups)):
+            while i not in done:
+                for j, group in itertools.islice(pending, cpus - len(running)):
+                    read, write = os.pipe()
+                    if (pid := os.fork()) == 0:   # the child never returns
+                        try:
+                            for fd in (read, *running):
+                                os.close(fd)
+                            try:
+                                outcome = _run_group(group)
+                            except BaseException as exc:
+                                outcome = exc
+                            with os.fdopen(write, "wb") as pipe:
+                                pickle.dump(outcome, pipe)
+                        finally:
+                            os._exit(0)
+                    os.close(write)
+                    running[read] = pid, j
+                for fd in select.select(list(running), [], [])[0]:
+                    with os.fdopen(fd, "rb") as pipe:
+                        data = pipe.read()
+                    pid, j = running.pop(fd)
+                    os.waitpid(pid, 0)
+                    try:
+                        done[j] = pickle.loads(data)
+                    except (EOFError, pickle.UnpicklingError):   # cut short
+                        done[j] = [], FracfrontError(
+                            f"sweep group alpha={groups[j][0].alpha:g} theta="
+                            f"{groups[j][0].theta:g}: a worker process ended abruptly")
+            if isinstance(outcome := done.pop(i), BaseException):
+                raise outcome
+            yield outcome
+    finally:
+        for fd, (pid, _) in running.items():
+            os.close(fd)
+            os.waitpid(pid, 0)
 
 
 def float_list(text: str) -> list[float]:

@@ -196,6 +196,7 @@ def build_manifest(config: RunConfig, stats: dict, diagnostics: dict) -> dict:
     c1, c2 = (None, None) if params.is_classical else quadrature_coefficients(params)
     return {
         "version": __version__,
+        "numpy": np.__version__,   # an output's bits depend on its FFT and einsum
         # counts as ints, as the CLI writes them, also for an integral float
         "config": {**dataclasses.asdict(config), "n": int(config.n),
                    "snapshots": int(config.snapshots)},
@@ -211,7 +212,8 @@ def build_manifest(config: RunConfig, stats: dict, diagnostics: dict) -> dict:
     }
 
 
-MANIFEST_REQUIRED_KEYS = ("version", "config", "derived", "stats", "diagnostics")
+MANIFEST_REQUIRED_KEYS = ("version", "numpy", "config", "derived", "stats",
+                          "diagnostics")
 MANIFEST_DERIVED_KEYS = ("h", "m", "c1", "c2", "potential_gap")
 
 

@@ -13,6 +13,7 @@ import string
 import subprocess
 import sys
 import tempfile
+import time
 import weakref
 from pathlib import Path
 
@@ -146,6 +147,7 @@ class TestManifest:
         write_manifest(result, diag, config, path)
         m = json.loads(path.read_text())
         assert m["version"]
+        assert m["numpy"] == np.__version__
         assert m["config"]["alpha"] == 1.8
         assert m["derived"]["m"] == 30
         assert m["derived"]["c1"] == pytest.approx(0.08348024981186786, abs=1e-12)
@@ -1075,6 +1077,32 @@ class TestParallelSweep:
             assert pids == {os.getpid()}
         assert len(capsys.readouterr().out.splitlines()) == 4
 
+    def test_a_group_starts_once_any_worker_is_done(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # three groups on two CPUs: the first waits for the third, which can
+        # start only once the second is done, not once the first is
+        marker = tmp_path / "third-started"
+
+        def run(configs):
+            if configs[0].theta == 0.3:
+                marker.write_text("started\n")
+            elif configs[0].theta == -0.1:
+                deadline = time.monotonic() + 60
+                while not marker.exists():
+                    if time.monotonic() > deadline:
+                        raise AssertionError("the third group never started")
+                    time.sleep(0.01)
+            yield from run_simulations(configs)
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr("fracfront.cli.run_simulations", run)
+        assert main(["sweep", "--alphas", "1.5", "--thetas=-0.1,0.1,0.3",
+                     "--a-list", "0.5", "--n", "21", *self.FLAGS,
+                     "--out", str(tmp_path / "sw")]) == 0
+        assert [line.split()[1] for line in capsys.readouterr().out.splitlines()] == [
+            f"{tmp_path / 'sw'}/alpha1.5_theta{theta}_a0.5/snapshots.csv"
+            for theta in ("-0.1", "0.1", "0.3")]
+
 
 class TestGroupedSweep:
     """A sweep steps each (alpha, theta) group as one integration; each of
@@ -1202,6 +1230,36 @@ class TestParallelSweepErrors:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("how", ["succeeds", "last-fails", "dies"])
+    def test_no_child_is_left(self, tmp_path, capfd, monkeypatch, how):
+        caller = os.getpid()
+        if how == "last-fails":
+            self._fail_one("diverged", tmp_path, monkeypatch)
+        elif how == "dies":
+            def die(configs):
+                if os.getpid() == caller:
+                    raise AssertionError("the sweep ran in the caller's process")
+                os._exit(3)
+            monkeypatch.setattr("fracfront.cli.run_simulations", die)
+        _cpus(monkeypatch, 2)
+        assert TestParallelSweep()._sweep(tmp_path) == (0 if how == "succeeds" else 1)
+        capfd.readouterr()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_uncaught_exception_reaches_the_caller(self, tmp_path, capfd,
+                                                   monkeypatch, cpus):
+        def divide(configs):
+            yield 1 / 0
+
+        _cpus(monkeypatch, cpus)
+        monkeypatch.setattr("fracfront.cli.run_simulations", divide)
+        with pytest.raises(ZeroDivisionError):
+            TestParallelSweep()._sweep(tmp_path)
+        captured = capfd.readouterr()
+        assert captured.out == "" and "worker process" not in captured.err
+
     def test_out_of_range_error_pickles_with_its_param(self):
         exc = pickle.loads(pickle.dumps(OutOfRangeError("too large", "dt")))
         assert type(exc) is OutOfRangeError
@@ -1294,19 +1352,24 @@ class TestRunConfigFlags:
         assert not (tmp_path / "run").exists()
 
 
-def test_import_loads_no_scipy():
-    """The library and its CLI run on numpy alone, and the CLI imports the
-    worker-pool modules only when a sweep forks workers and the invariant
+def test_import_loads_no_scipy(tmp_path):
+    """The library and its CLI run on numpy alone; a sweep that forks its
+    groups loads no worker-pool module, and the CLI imports the invariant
     suite only for ``selftest``."""
-    code = ("import sys, fracfront, fracfront.cli; "
+    code = ("import os, sys, fracfront, fracfront.cli; "
+            "os.sched_getaffinity = lambda pid: {0, 1}; "
+            "fracfront.cli.main(['sweep', '--alphas', '1.5', '--thetas=-0.1,0.1', "
+            "'--a-list', '0.5', '--n', '21', '--b', '10', '--t-final', '0.5', "
+            f"'--out', {str(tmp_path)!r}]); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
             "('scipy', 'multiprocessing') or m.startswith('concurrent.futures') "
             "or m == 'fracfront.selftest'))")
     src = str(Path(fracfront.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+                         capture_output=True, text=True).stdout.splitlines()
+    assert len(out) == 3 and out[0].startswith("wrote ")   # the sweep ran
+    assert out[-1] == "[]"
 
 
 def test_selftest_reports_failing_and_raising_groups(capsys, monkeypatch):
