@@ -234,7 +234,13 @@ def _forked(groups: list, cpus: int):
             while i not in done:
                 for j, group in itertools.islice(pending, cpus - len(running)):
                     read, write = os.pipe()
-                    if (pid := os.fork()) == 0:   # the child never returns
+                    try:
+                        pid = os.fork()
+                    except OSError:   # no child: neither end is anyone's
+                        os.close(read)
+                        os.close(write)
+                        raise
+                    if pid == 0:   # the child never returns
                         try:
                             for fd in (read, *running):
                                 os.close(fd)

@@ -190,10 +190,13 @@ def result_from_csv(path, a: Optional[float] = None) -> SimulationResult:
 
 def build_manifest(config: RunConfig, stats: dict, diagnostics: dict) -> dict:
     """The run manifest: the config, the values derived from it (grid step,
-    centre node, integral coefficients, potential gap), the run's ``stats``
+    centre node, integral coefficients, potential gap and tail ratio: the
+    far-field tail c b^-alpha / alpha at an edge over that side's threshold
+    margin squared, the larger side, 0 at alpha = 2), the run's ``stats``
     and its ``diagnostics``."""
     params, grid, nl, *_ = config.validated()
     c1, c2 = (None, None) if params.is_classical else quadrature_coefficients(params)
+    tail = grid.b ** -params.alpha / params.alpha
     return {
         "version": __version__,
         "numpy": np.__version__,   # an output's bits depend on its FFT and einsum
@@ -206,6 +209,8 @@ def build_manifest(config: RunConfig, stats: dict, diagnostics: dict) -> dict:
             "c1": c1,
             "c2": c2,
             "potential_gap": nl.potential_gap(),
+            "tail_ratio": 0.0 if c1 is None else max(c1 * tail / nl.a ** 2,
+                                                     c2 * tail / (1.0 - nl.a) ** 2),
         },
         "stats": stats,
         "diagnostics": diagnostics,
@@ -214,7 +219,7 @@ def build_manifest(config: RunConfig, stats: dict, diagnostics: dict) -> dict:
 
 MANIFEST_REQUIRED_KEYS = ("version", "numpy", "config", "derived", "stats",
                           "diagnostics")
-MANIFEST_DERIVED_KEYS = ("h", "m", "c1", "c2", "potential_gap")
+MANIFEST_DERIVED_KEYS = ("h", "m", "c1", "c2", "potential_gap", "tail_ratio")
 
 
 def write_manifest(result: SimulationResult, diagnostics: dict,

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import errno
 import gc
 import inspect
 import io
@@ -43,6 +44,7 @@ from fracfront import (
     write_snapshot_csv,
 )
 from fracfront.cli import build_parser, float_list, main
+from fracfront.runio import build_manifest
 
 def _repr_csv(header, x, y) -> bytes:
     """Reference two-column CSV, written value by value with repr."""
@@ -166,6 +168,14 @@ class TestManifest:
         write_manifest(result, diag, config, path)
         m = json.loads(path.read_text())
         assert m["derived"]["c1"] is None and m["derived"]["c2"] is None
+
+    @pytest.mark.parametrize("alpha,b,ratio", [(1.3, 30.0, 0.306), (1.3, 60.0, 0.124),
+                                               (2.0, 30.0, 0.0)])
+    def test_tail_ratio(self, alpha, b, ratio):
+        # the far-field tail over the threshold margin squared, at a = 0.1
+        config = RunConfig(alpha=alpha, theta=0.0, a=0.1, b=b, n=41, out="unused")
+        manifest = build_manifest(config, {}, {})
+        assert manifest["derived"]["tail_ratio"] == pytest.approx(ratio, abs=5e-4)
 
     def test_integral_float_counts_written_as_ints(self, tmp_path):
         # the CLI parses counts as ints; a library config may hold 61.0
@@ -1247,6 +1257,28 @@ class TestParallelSweepErrors:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts this process's descriptors in /proc")
+    @pytest.mark.parametrize("failing", [1, 2], ids=["first-fork", "second-fork"])
+    def test_failed_fork_closes_its_pipe(self, tmp_path, capfd, monkeypatch,
+                                         failing):
+        forks, real_fork = [], os.fork
+
+        def fork():
+            forks.append(None)
+            if len(forks) == failing:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real_fork()
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", fork)
+        before = len(os.listdir("/proc/self/fd"))
+        assert TestParallelSweep()._sweep(tmp_path, n=61) == 1
+        assert capfd.readouterr().err.startswith("error: ")
+        assert len(os.listdir("/proc/self/fd")) == before
+        with pytest.raises(ChildProcessError):   # a child started is reaped
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("cpus", [2, 1])
     def test_uncaught_exception_reaches_the_caller(self, tmp_path, capfd,
                                                    monkeypatch, cpus):
@@ -1370,6 +1402,30 @@ def test_import_loads_no_scipy(tmp_path):
                          capture_output=True, text=True).stdout.splitlines()
     assert len(out) == 3 and out[0].startswith("wrote ")   # the sweep ran
     assert out[-1] == "[]"
+
+
+@pytest.mark.parametrize("n,loaded", [(181, False), (1001, True)])
+def test_dense_simulate_loads_no_fft(tmp_path, n, loaded):
+    """At n <= DENSE_INVERSE_MAX_N the solver is built without a transform,
+    so a default ``simulate`` never loads numpy's FFT; above it, it does."""
+    code = ("import sys, fracfront.cli; "
+            "fracfront.cli.main(['simulate', '--alpha', '1.5', '--theta', '0.2', "
+            f"'--n', '{n}', '--t-final', '0.1', '--out', {str(tmp_path)!r}]); "
+            "print('numpy.fft' in sys.modules)")
+    src = str(Path(fracfront.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out[0].startswith("wrote ") and out[-1] == str(loaded)
+
+
+def test_no_lapack_in_the_package():
+    """No module calls LAPACK: its results would depend on the BLAS thread
+    count, and a dense inverse by ``np.linalg.inv`` would skip the solver."""
+    package = Path(fracfront.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        assert "np.linalg" not in text and "numpy.linalg" not in text, path.name
 
 
 def test_selftest_reports_failing_and_raising_groups(capsys, monkeypatch):

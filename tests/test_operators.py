@@ -561,6 +561,16 @@ class TestToeplitzSolver:
         solver = ToeplitzSolver(assemble_operator_matrix(grid, p, tail), dt)
         assert np.array_equal(solver.inverse(), _vectorized_trench(solver))
 
+    @pytest.mark.parametrize("n", [61, 999])
+    def test_dense_step_applies_the_inverse(self, n):
+        # setup builds the Trench inverse twice in one buffer; it ends bit for
+        # bit as inverse() and the whole-array recursion build it afresh
+        A = assemble_operator_matrix(Grid1D(30.0, n), FractionalParams(1.5, 0.4),
+                                     tail_correction=True)
+        solver = A.factorization(0.05)
+        assert np.array_equal(solver._inverse, solver.inverse())
+        assert np.array_equal(solver._inverse, _vectorized_trench(solver))
+
     def test_identity_gives_the_inverse(self):
         # the columns of a 2-D right-hand side are solved, none folded as a row
         n = 1003
