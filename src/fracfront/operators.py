@@ -195,14 +195,14 @@ class OperatorMatrix:
 
     def factorization(self, dt: float) -> "ToeplitzSolver":
         """A new solver of ``I - dt * entries``, dense where ``solver`` says so:
-        ``factorization(dt) @ r`` solves ``(I - dt * entries) x = r`` for each
-        column of r, shape (n,) or (..., n, k) as numpy's matmul reads it, an
-        (n, 1) column of a stack bit for bit as it is alone."""
+        ``factorization(dt)(r)`` solves ``(I - dt * entries) x = r`` for each
+        row of r, shape (..., n), a row of a stack bit for bit as it is alone."""
         return ToeplitzSolver(self, dt, dense=self.solver == "dense-inverse")
 
 
 class ToeplitzSolver:
-    """Solves ``(I - dt*A) x = r`` for an ``OperatorMatrix`` A.
+    """Called on r, solves ``(I - dt*A) x = r`` for each row of r, A an
+    ``OperatorMatrix``.
 
     ``I - dt*A`` is a Toeplitz matrix T plus the two boundary-fold columns.
     T is built once, as the 2n - 1 entries t with T[i, j] = t[n - 1 + j - i];
@@ -217,13 +217,13 @@ class ToeplitzSolver:
     S: the down shift) then applies T^-1 with four FFT triangular products
     in O(n log n), and a 2-column Woodbury correction adds the folds.  Only
     O(n) arrays are held, unless ``dense``: then setup makes no transform.
-    It builds T^-1 by Trench's recursion (``inverse()``) to refine f and g,
-    again from the refined pair in the same n x n buffer, and ``@`` applies
-    the finished inverse by einsum in O(n^2).  The solution is within 1e-16
-    * cond1(I - dt*A) of a dense LU solve, relative to its largest entry
-    (tested up to cond1 = 4e5).  Raises ``FracfrontError`` when ``I - dt*A``
-    is singular to working precision or a leading minor of T is singular,
-    instead of returning NaN.
+    It builds T^-1 by Trench's recursion (``_trench``) to refine f and g,
+    again from the refined pair in the same n x n buffer, and a call applies
+    the finished inverse, ``_inverse``, by einsum in O(n^2).  The solution
+    is within 1e-16 * cond1(I - dt*A) of a dense LU solve, relative to its
+    largest entry (tested up to cond1 = 4e5).  Raises ``FracfrontError``
+    when ``I - dt*A`` is singular to working precision or a leading minor of
+    T is singular, instead of returning NaN.
     """
 
     def __init__(self, op: OperatorMatrix, dt: float, dense: bool = False):
@@ -236,7 +236,7 @@ class ToeplitzSolver:
         t = -dt * np.pad(op.weights, n - 1 - m)
         t[n - 1] = 1.0 + mass
         # the triangular products are wrap-free at 2n - 1 points
-        self._n, self._size, self.shape = n, _fft_size(2 * n - 1), (n, n)
+        self._n, self._size = n, _fft_size(2 * n - 1)
         # T[:, 0] as a copy: over the reversed view Levinson's dot products
         # would sum in another order, and f and g would change in the last bits
         f, g = self._levinson(t[n - 1::-1].copy(), t[n - 1:])
@@ -244,45 +244,36 @@ class ToeplitzSolver:
         # cond(T) * eps in f and g, which residuals summed row by row remove
         # (an FFT product's rounding scales with all of T, not with each row)
         rows = np.lib.stride_tricks.sliding_window_view(t, n)[::-1]   # T[i]
-        res = -np.einsum("ij,kj->ik", rows, np.stack([f, g]))
-        res[[0, -1], [0, 1]] += 1.0   # e_0 - T f and e_(n-1) - T g
+        res = -np.einsum("ij,kj->ki", rows, np.stack([f, g]))
+        res[[0, 1], [0, -1]] += 1.0   # e_0 - T f and e_(n-1) - T g
         folds = -dt * np.stack(op._folds)
         if dense:   # T^-1 of f and g, then of the refined f and g, in one buffer
             B = self._trench(f, g)
-            df, dg = np.einsum("ij,kj->ki", B, res.T.copy())   # a contiguous copy: 5x faster
+            df, dg = np.einsum("ij,kj->ki", B, res)
             self._f, self._g = f + df, g + dg
-            z = np.einsum("ij,kj->ik", self._trench(self._f, self._g, out=B), folds)
+            z = np.einsum("ij,kj->ki", self._trench(self._f, self._g, out=B), folds)
         else:
             self._set_generators(f, g)
-            df, dg = self._apply_t(res.T)
+            df, dg = self._apply_t(res)
             self._f, self._g = f + df, g + dg
             self._set_generators(self._f, self._g)
-            z = self._apply_t(folds).T
-        cap = np.eye(2) + z[[0, -1]]   # I + V^T T^-1 U, V = [e_0, e_(n-1)]
+            z = self._apply_t(folds)
+        cap = np.eye(2) + z[:, [0, -1]].T   # I + V^T T^-1 U, V = [e_0, e_(n-1)]
         det = cap[0, 0] * cap[1, 1] - cap[0, 1] * cap[1, 0]
         if det == 0.0 or not np.isfinite(det):
             raise FracfrontError(
                 f"boundary-fold correction is singular (det = {det})")
         adjugate = [[cap[1, 1], -cap[0, 1]], [-cap[1, 0], cap[0, 0]]]
-        self._fold = np.einsum("ik,kj->ij", z, adjugate) / det   # n x 2
+        self._fold = np.einsum("ki,kj->ij", z, adjugate) / det   # n x 2
         self._inverse = self._subtract_folds(B) if dense else None
 
-    def inverse(self) -> np.ndarray:
-        """The dense inverse of ``I - dt*A`` in O(n^2) elementwise work:
-        Trench's recursion (J. SIAM 12, 1964), the Gohberg-Semencul formula
-        summed along each diagonal, B[i, j] = B[i-1, j-1] + (f[i] g[n-1-j] -
-        g[i-1] f[n-j]) / f[0], then the Woodbury term on B's rows 0, n - 1.
-
-        B is the one n x n array built: each row is finished in place, and
-        the Woodbury term is subtracted in blocks of isqrt(n) rows.  Every
-        entry takes the same operations in the same order as in whole-array
-        form (both outer products, then the division, then the diagonal
-        sums), so the result is the same bit for bit, and it is the array
-        that a dense solver's step applies."""
-        return self._subtract_folds(self._trench(self._f, self._g))
-
     def _trench(self, f: np.ndarray, g: np.ndarray, out=None) -> np.ndarray:
-        """T^-1 from its first and last columns f and g, into ``out``."""
+        """T^-1 from its first and last columns f and g, into ``out``, by
+        Trench's recursion (J. SIAM 12, 1964): the Gohberg-Semencul formula
+        summed along each diagonal, B[i, j] = B[i-1, j-1] + (f[i] g[n-1-j] -
+        g[i-1] f[n-j]) / f[0].  Each row is finished in place, every entry by
+        the same operations in the same order as in whole-array form (both
+        outer products, the division, the diagonal sums): bit for bit so."""
         B = np.einsum("i,j->ij", f, g[::-1], out=out)   # unlike outer, no 128 KiB buffer
         rev_f, term = f[:0:-1], np.empty(self._n - 1)
         B[0] /= f[0]
@@ -294,7 +285,8 @@ class ToeplitzSolver:
         return B
 
     def _subtract_folds(self, B: np.ndarray) -> np.ndarray:
-        """(I - dt*A)^-1 from B = T^-1 in place: the fold columns' Woodbury term."""
+        """(I - dt*A)^-1 from B = T^-1 in place: the fold columns' Woodbury
+        term on B's rows 0 and n - 1, in blocks of isqrt(n) rows."""
         ends, block = B[[0, -1]], math.isqrt(self._n)   # a copy of the rows it reads
         for r in range(0, self._n, block):
             B[r:r + block] -= np.einsum("ik,kj->ij", self._fold[r:r + block], ends)
@@ -350,17 +342,16 @@ class ToeplitzSolver:
                             size)
         return np.fft.irfft((self._lower * inner).sum(axis=-2), size)[..., :n]
 
-    def __matmul__(self, rhs: np.ndarray) -> np.ndarray:
-        """The solution x of ``(I - dt*A) x = rhs``, as ``factorization`` states.
-        When dense, an (n, k) ``rhs`` with k >= 2 takes 3-6x as long as its
-        columns stacked as (k, n, 1) (k = 2 and 4, n = 181-999)."""
-        rhs = np.asarray(rhs)
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        """The solution x of ``(I - dt*A) x = r`` for each row of ``r``."""
+        if np.shape(r)[-1:] != (self._n,):
+            raise OutOfRangeError(f"right-hand side has shape {np.shape(r)}, "
+                                  f"solver expects (..., {self._n})")
         if self._inverse is not None:   # each entry summed by numpy's own loop
-            return np.einsum("ij,...j->...i" if rhs.ndim == 1 else "ij,...jk->...ik",
-                             self._inverse, rhs)
-        y = self._apply_t(rhs if rhs.ndim == 1 else np.swapaxes(rhs, -1, -2))
+            return np.einsum("ij,...j->...i", self._inverse, r)
+        y = self._apply_t(r)
         y -= (self._fold @ y[..., [0, -1], None])[..., 0]   # a mat-vec per row
-        return y if rhs.ndim == 1 else np.swapaxes(y, -1, -2)
+        return y
 
 
 def _quadrature_stencil(grid: Grid1D, params: FractionalParams,

@@ -6,10 +6,10 @@ Two steppers, named in ``METHODS``, both for ``BistableCubic`` reactions:
   reaction.  Equal steps of at most ``dt`` per snapshot interval, so a
   uniform schedule takes one step size and one solver of ``I - dt*A`` per
   run (``OperatorMatrix.factorization``), held by the run alone.  Each step
-  applies the dense inverse by einsum at ``n <= DENSE_INVERSE_MAX_N`` and is
-  an O(n log n) Toeplitz solve above it; either keeps nonnegativity only to
-  roundoff where the true inverse entries underflow: to -1e-16 absolute at
-  alpha = 2, and the Toeplitz solve to -2e-16 at theta's edge (-1.59e-16 at
+  applies the dense inverse by einsum at ``n <= DENSE_INVERSE_MAX_N`` (no
+  negative entry tested, alpha = 2 included) and is an O(n log n) Toeplitz
+  solve above it, nonnegative only to roundoff where the true inverse
+  entries underflow: to -2e-16 absolute at theta's edge (-1.59e-16 at
   worst).  The run's stats name the solver and its setup time.  Every run
   steps as a stack of states (the cubic's ``a`` a column), one solve a step.
 * ``rk-adaptive``: explicit embedded Dormand-Prince 5(4) pair with the
@@ -117,7 +117,7 @@ def step_semi_implicit(u: np.ndarray, dt: float, solve,
                        nl: BistableCubic) -> np.ndarray:
     """Solve (I - dt*A) u_new = u + dt f(u), ``solve = A.factorization(dt)``,
     for a state or, by one solve, each row of a stack (``nl.a`` a column)."""
-    return (solve @ (u + dt * nl.f(u))[..., None])[..., 0]
+    return solve(u + dt * nl.f(u))
 
 
 # ---------------------------------------------------------------------------

@@ -411,7 +411,7 @@ def _implicit_systems(draw, max_n=401):
 
 def _vectorized_trench(solver):
     """Trench's inverse by whole-array operations, two n x n arrays at its
-    peak: the reference that ``ToeplitzSolver.inverse`` matches bit for bit."""
+    peak: the reference that a dense solver's ``_inverse`` matches bit for bit."""
     f, g = solver._f, solver._g
     B = np.multiply.outer(f, g[::-1])
     B[1:, 1:] -= np.multiply.outer(g[:-1], f[:0:-1])
@@ -430,7 +430,7 @@ class TestToeplitzSolver:
         A = assemble_operator_matrix(grid, p, tail_correction=tail)
         rhs = np.random.default_rng(grid.n).standard_normal(grid.n)
         ref = lu_solve(lu_factor(np.eye(grid.n) - dt * A.entries), rhs)
-        out = ToeplitzSolver(A, dt) @ rhs
+        out = ToeplitzSolver(A, dt)(rhs)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     # above the dense limit, where the semi-implicit step uses this solver;
@@ -449,7 +449,7 @@ class TestToeplitzSolver:
         ref = lu_solve(lu, rhs)
         solver = A.factorization(1.0)
         assert isinstance(solver, ToeplitzSolver)
-        assert np.max(np.abs(solver @ rhs - ref)) <= 1e-16 / rcond * np.max(np.abs(ref))
+        assert np.max(np.abs(solver(rhs) - ref)) <= 1e-16 / rcond * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("weights,far", [
         # 1 + dt*row_sum = -1 and both neighbours 1: the leading 2 x 2 minor
@@ -527,59 +527,64 @@ class TestToeplitzSolver:
         assert solver._size == 2025
         rhs = np.random.default_rng(1013).standard_normal(1013)
         ref = lu_solve(lu_factor(np.eye(1013) - 0.05 * A.entries), rhs)
-        assert np.max(np.abs(solver @ rhs - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(solver(rhs) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [61, 181, 401, 801, 999, 1003, 1601])
     def test_solves_each_column(self, n):
-        # both solvers, one contract: factorization(dt) @ r solves each
-        # column of an (n,) or (..., n, k) right-hand side, as matmul reads it
+        # both solvers, one contract: factorization(dt)(r) solves for each
+        # row of an (..., n) right-hand side
         A = assemble_operator_matrix(Grid1D(30.0, n), FractionalParams(1.5, 0.2),
                                      tail_correction=True)
         solver = A.factorization(0.05)
         lu = lu_factor(np.eye(n) - 0.05 * A.entries)
-        rhs = np.random.default_rng(n).standard_normal((n, 3))
-        out = solver @ rhs
-        assert out.shape == (n, 3)
-        for k in range(3):
-            ref = lu_solve(lu, rhs[:, k])
-            assert np.max(np.abs(out[:, k] - ref)) <= 1e-12 * np.max(np.abs(ref))
-        stacked = solver @ rhs.T[:, :, None]   # three (n, 1) columns
-        assert stacked.shape == (3, n, 1)
-        for k in range(3):   # each bit for bit as the column solved alone
-            assert np.array_equal(stacked[k, :, 0], solver @ rhs[:, k])
+        rhs = np.random.default_rng(n).standard_normal((3, n))
+        out = solver(rhs)
+        assert out.shape == (3, n)
+        for k in range(3):   # each bit for bit as the row solved alone
+            ref = lu_solve(lu, rhs[k])
+            assert np.max(np.abs(out[k] - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert np.array_equal(out[k], solver(rhs[k]))
+        stacked = solver(rhs[:, None])   # a stack of three (1, n) blocks
+        assert stacked.shape == (3, 1, n) and np.array_equal(stacked[:, 0], out)
         if n <= DENSE_INVERSE_MAX_N:   # the Trench inverse that the step applies
             system = np.eye(n) - 0.05 * A.entries
             residual = lambda B: np.max(np.abs(system @ B - np.eye(n)))
-            assert residual(solver.inverse()) <= 4 * residual(np.linalg.inv(system))
+            assert residual(solver._inverse) <= 4 * residual(np.linalg.inv(system))
+
+    @pytest.mark.parametrize("n", [181, 1003], ids=["dense", "toeplitz"])
+    @pytest.mark.parametrize("shape", [lambda n: (n - 1,), lambda n: (n + 1,),
+                                       lambda n: (n, 2)], ids=["n-1", "n+1", "n-by-2"])
+    def test_rejects_a_right_hand_side_of_the_wrong_length(self, n, shape):
+        # an (n, 2) block of columns is rows of length 2, not n
+        solver = assemble_operator_matrix(
+            Grid1D(30.0, n), FractionalParams(1.5, 0.2)).factorization(0.05)
+        rhs = np.ones(shape(n))
+        with pytest.raises(OutOfRangeError, match="^" + re.escape(
+                f"right-hand side has shape {rhs.shape}, "
+                f"solver expects (..., {n})") + "$"):
+            solver(rhs)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(_implicit_systems(DENSE_INVERSE_MAX_N))
+    @example((Grid1D(30.0, 61), FractionalParams(1.5, 0.4), True, 0.05))
     @example((Grid1D(30.0, 999), FractionalParams(1.5, 0.5), True, 1.0))
     def test_inverse_matches_the_vectorized_recursion(self, system):
-        # built in place, each entry takes the same operations in the same order
+        # setup builds the Trench inverse twice in one buffer, each row in
+        # place; the inverse that the step applies ends bit for bit as the
+        # whole-array recursion builds it afresh
         grid, p, tail, dt = system
-        solver = ToeplitzSolver(assemble_operator_matrix(grid, p, tail), dt)
-        assert np.array_equal(solver.inverse(), _vectorized_trench(solver))
-
-    @pytest.mark.parametrize("n", [61, 999])
-    def test_dense_step_applies_the_inverse(self, n):
-        # setup builds the Trench inverse twice in one buffer; it ends bit for
-        # bit as inverse() and the whole-array recursion build it afresh
-        A = assemble_operator_matrix(Grid1D(30.0, n), FractionalParams(1.5, 0.4),
-                                     tail_correction=True)
-        solver = A.factorization(0.05)
-        assert np.array_equal(solver._inverse, solver.inverse())
+        solver = assemble_operator_matrix(grid, p, tail).factorization(dt)
         assert np.array_equal(solver._inverse, _vectorized_trench(solver))
 
     def test_identity_gives_the_inverse(self):
-        # the columns of a 2-D right-hand side are solved, none folded as a row
+        # each row of a 2-D right-hand side is solved, none folded as a column
         n = 1003
         A = assemble_operator_matrix(Grid1D(30.0, n), FractionalParams(1.7, 0.2))
         solver = A.factorization(0.02)
         assert isinstance(solver, ToeplitzSolver)
-        inverse = solver @ np.eye(n)
+        inverse = solver(np.eye(n)).T
         for k in (0, 1, n // 2, n - 2, n - 1):
-            assert np.array_equal(inverse[:, k], solver @ np.eye(n)[k])
+            assert np.array_equal(inverse[:, k], solver(np.eye(n)[k]))
         ref = np.linalg.inv(np.eye(n) - 0.02 * A.entries)
         assert np.max(np.abs(inverse - ref)) <= 1e-12 * np.max(np.abs(ref))
 

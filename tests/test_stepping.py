@@ -114,21 +114,22 @@ class TestSemiImplicit:
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
         # I - dt*A is an M-matrix, so its inverse is nonnegative; its
         # columns come from the solver, a dense inverse or a Toeplitz solve.
-        # Where the true entries underflow, at alpha = 2 or at theta's edge,
-        # it keeps them only to the absolute floors of the stepping
-        # docstring: 1e-16 at alpha = 2, 2e-16 for the Toeplitz solve at
-        # the edge (-1.59e-16 at alpha = 1.5, theta = 0.5, n = 1601)
+        # The dense inverse at alpha = 2 has no negative entry (1.12e-241 at
+        # least); its -1e-16 floor is for a Toeplitz solve there.  Where the
+        # true entries underflow at theta's edge, the Toeplitz solve keeps
+        # them only to the stepping docstring's absolute floor of 2e-16
+        # (-1.59e-16 at alpha = 1.5, theta = 0.5, n = 1601)
         floor = {(801, 2.0): -1e-16, (1601, 1.5): -2e-16}.get((n, alpha), 0.0)
-        assert min(np.min(solve @ e) for e in np.eye(n)) >= floor
+        assert min(np.min(solve(e)) for e in np.eye(n)) >= floor
 
     def test_operator_keeps_no_square_array(self):
         g = Grid1D(10.0, 41)
         A = assemble_operator_matrix(g, FractionalParams(1.6, 0.2))
         assert A.entries is not A.entries  # built afresh, never cached
-        inverse = A.factorization(0.1)
-        assert np.shape(inverse) == (g.n, g.n)
+        solve = A.factorization(0.1)
+        assert np.shape(solve._inverse) == (g.n, g.n)
         assert not [v for v in vars(A).values() if np.shape(v) == (g.n, g.n)]
-        assert A.factorization(0.1) is not inverse   # the caller holds it
+        assert A.factorization(0.1) is not solve   # the caller holds it
 
     def test_first_order_self_convergence(self):
         g = Grid1D(20.0, 121)
