@@ -105,8 +105,8 @@ class OperatorMatrix:
     """A discrete operator on ``grid``, stored as its Toeplitz stencil.
 
     ``weights[M + d]`` multiplies the value at offset ``d`` for ``|d| <= M``
-    (M < n; the centre entry is zero); ``far`` is the (left, right) weight
-    landing beyond the M ghost values, which folds onto the boundary nodes.
+    (M < n, centre 0, else ``OutOfRangeError``); ``far`` is the (left,
+    right) weight landing beyond the M ghost values, folded onto the boundary nodes.
     The diagonal is ``-row_sum``, so rows sum to zero and constants are
     annihilated.  ``matvec`` applies the operator in O(n log n): the
     correlation of the n nodal values with the stencil, by FFT at the
@@ -122,6 +122,15 @@ class OperatorMatrix:
     grid: Grid1D
     weights: np.ndarray
     far: tuple[float, float] = (0.0, 0.0)
+
+    def __post_init__(self):
+        shape, n = np.shape(self.weights), self.grid.n
+        if len(shape) != 1 or shape[0] % 2 == 0 or shape[0] >= 2 * n:
+            raise OutOfRangeError(f"weights have shape {shape}, "
+                                  f"not (2M + 1,) with M < n = {n}")
+        centre = float(self.weights[shape[0] // 2])   # a NaN elsewhere is allowed
+        if centre != 0:
+            raise OutOfRangeError(f"centre weight is {centre:g}, not 0")
 
     @cached_property
     def row_sum(self) -> float:

@@ -217,9 +217,14 @@ def build_manifest(config: RunConfig, stats: dict, diagnostics: dict) -> dict:
     }
 
 
-MANIFEST_REQUIRED_KEYS = ("version", "numpy", "config", "derived", "stats",
-                          "diagnostics")
-MANIFEST_DERIVED_KEYS = ("h", "m", "c1", "c2", "potential_gap", "tail_ratio")
+MANIFEST_KEYS = {   # each top-level key -> the keys its section holds in every run
+    "version": (), "numpy": (),
+    "config": tuple(f.name for f in dataclasses.fields(RunConfig)),
+    "derived": ("h", "m", "c1", "c2", "potential_gap", "tail_ratio"),
+    "stats": ("steps", "rejected_steps", "wall_time_s", "u_min", "u_max"),
+    "diagnostics": ("speed", "speed_intercept", "speed_residual", "decay_rate",
+                    "decay_r_squared"),
+}
 
 
 def write_manifest(result: SimulationResult, diagnostics: dict,
@@ -246,8 +251,8 @@ _BOOL_FALSE = {"0", "false", "no", "off"}
 def read_config_file(path) -> dict:
     """Parse a ``key = value`` file into RunConfig keyword arguments.
 
-    Unknown keys are errors (fail loud), and so is ``out``: the output
-    directory is always the ``--out`` flag.  '#' starts a comment.
+    Unknown and repeated keys are errors (fail loud), and so is ``out``: the
+    output directory is always the ``--out`` flag.  '#' starts a comment.
     """
     path = Path(path)
     try:
@@ -268,6 +273,8 @@ def read_config_file(path) -> dict:
             raise OutOfRangeError(
                 f"{path}:{lineno}: 'out' is not a config key; "
                 "give the output directory as --out", "out")
+        if key in out:
+            raise OutOfRangeError(f"{path}:{lineno}: {key!r} is given twice")
         try:
             out[key] = _parse_value(key, value)
         except ValueError as exc:

@@ -169,12 +169,16 @@ def step_explicit_rk(u, f_u, dt_try, rhs, abs_tol, rel_tol):
 # driver
 # ---------------------------------------------------------------------------
 
-def _bounded(u: np.ndarray) -> tuple[float, float]:
-    """min and max of ``u``; ``FracfrontError`` past ``DIVERGENCE_THRESHOLD``."""
-    lo, hi = float(u.min()), float(u.max())   # NaN if any entry is NaN
-    if not -DIVERGENCE_THRESHOLD <= lo <= hi <= DIVERGENCE_THRESHOLD:
-        raise FracfrontError(f"|u| reached {max(-lo, hi):.3g}")
-    return lo, hi
+def _widen(bounds: list, u: np.ndarray):
+    """Widen each run's (min, max) in ``bounds`` by its row of the stack ``u``;
+    returns the first row past ``DIVERGENCE_THRESHOLD`` or NaN, where the
+    widening stops, and its ``FracfrontError``, or None if no row is."""
+    extremes = zip(u.min(axis=1).tolist(), u.max(axis=1).tolist())   # NaN if any is
+    for j, (lo, hi) in enumerate(extremes):
+        if not -DIVERGENCE_THRESHOLD <= lo <= hi <= DIVERGENCE_THRESHOLD:
+            return j, FracfrontError(f"|u| reached {max(-lo, hi):.3g}")
+        bounds[j] = min(bounds[j][0], lo), max(bounds[j][1], hi)
+    return None
 
 
 def integrate(
@@ -213,8 +217,8 @@ def integrate_group(ic, schedule, cfg, operator, nls):
     steps the runs as one stack with a column of thresholds, one solver at a
     time; rk-adaptive clips its proposals at each time and steps each run
     alone.  A run's states and stats are its lone run's, bit for bit, timings
-    aside (``integrate``).  A run past 1e6 in magnitude raises
-    ``FracfrontError`` once the runs before it are yielded; those after stop.
+    aside (``integrate``).  A run past 1e6 or NaN raises ``FracfrontError``
+    once the runs before it, stepped without it, are yielded; the rest stop.
     """
     schedule = _check_schedule(schedule)
     if any(type(nl) is not BistableCubic for nl in nls):   # a subclass may override f
@@ -225,10 +229,12 @@ def integrate_group(ic, schedule, cfg, operator, nls):
     u = np.array([validate_state(row, grid) for row in
                   (ic if ic.shape == (len(nls), grid.n) else [ic] * len(nls))])
     # each run's (u_min, u_max), before the first f(u), which could overflow
-    bounds = [_bounded(row) for row in u]
+    bounds = [(np.inf, -np.inf)] * len(nls)
+    if (failed := _widen(bounds, u)) is not None:
+        raise failed[1]
     if cfg.method == "rk-adaptive":
-        yield from (_adaptive(row, lo, hi, schedule, cfg, operator, nl)
-                    for row, (lo, hi), nl in zip(u, bounds, nls))
+        yield from (_adaptive(row, bound, schedule, cfg, operator, nl)
+                    for row, bound, nl in zip(u, bounds, nls))
         return
     spans = np.diff(schedule)
     # a count past 1.8e308 is inf; a span / dt that underflows still takes
@@ -242,7 +248,7 @@ def integrate_group(ic, schedule, cfg, operator, nls):
     nl = BistableCubic(np.array([[r.a] for r in nls]))
     states = np.empty((len(nls), len(schedule), grid.n))
     states[:, 0] = u
-    steps, setup, step, solve, error = 0, 0.0, cfg.dt, None, None
+    setup, step, solve = 0.0, cfg.dt, None
     wall0 = time.perf_counter()
     for i, (span, count) in enumerate(zip(spans, counts.astype(int)), start=1):
         if abs(span / count - step) > 1e-12 * step:
@@ -253,33 +259,24 @@ def integrate_group(ic, schedule, cfg, operator, nls):
             setup += time.perf_counter() - t0
         for _ in range(count):
             u = step_semi_implicit(u, step, solve, nl)
-            steps += 1
-            # each run's min and max, NaN if any entry is NaN
-            extremes = zip(u.min(axis=1).tolist(), u.max(axis=1).tolist())
-            for j, (lo, hi) in enumerate(extremes):
-                if not -DIVERGENCE_THRESHOLD <= lo <= hi <= DIVERGENCE_THRESHOLD:
-                    error = FracfrontError(f"|u| reached {max(-lo, hi):.3g}")
-                    if j == 0:
-                        raise error
-                    # this run stops, and so do the runs after it
-                    nl, u, states = BistableCubic(nl.a[:j]), u[:j], states[:j]
-                    del bounds[j:]
-                    break
-                bounds[j] = min(bounds[j][0], lo), max(bounds[j][1], hi)
+            if (failed := _widen(bounds, u)) is not None:
+                # the runs before it re-run as a group of their own; those after stop
+                j, solve = failed[0], None
+                yield from integrate_group(states[:j, 0], schedule, cfg,
+                                           operator, nls[:j])
+                raise failed[1]
         states[:, i] = u
-    stats = {"steps": steps, "rejected_steps": 0, "solver": operator.solver,
-             "wall_time_s": time.perf_counter() - wall0}
+    stats = {"steps": int(counts.sum()), "rejected_steps": 0,
+             "solver": operator.solver, "wall_time_s": time.perf_counter() - wall0}
     for j, (u_min, u_max) in enumerate(bounds):
         yield SimulationResult(schedule.copy(), states[j], grid, nls[j], {
             **stats, "solver_setup_s": 0.0 if j else setup,
             "u_min": u_min, "u_max": u_max})
-    if error is not None:
-        raise error
 
 
-def _adaptive(u, lo, hi, schedule, cfg, operator, nl) -> SimulationResult:
+def _adaptive(u, bound, schedule, cfg, operator, nl) -> SimulationResult:
     """The run of one reaction, stepped alone under its own controller."""
-    stats = {"steps": 0, "rejected_steps": 0, "u_min": lo, "u_max": hi}
+    stats, bounds = {"steps": 0, "rejected_steps": 0}, [bound]
     states, wall0 = [u], time.perf_counter()
 
     def rhs(v):
@@ -302,9 +299,8 @@ def _adaptive(u, lo, hi, schedule, cfg, operator, nl) -> SimulationResult:
                     stats["steps"] += 1
                     if stats["steps"] > MAX_STEPS:
                         raise FracfrontError(f"exceeded MAX_STEPS = {MAX_STEPS}")
-                    lo, hi = _bounded(u)
-                    stats["u_min"] = min(stats["u_min"], lo)
-                    stats["u_max"] = max(stats["u_max"], hi)
+                    if (failed := _widen(bounds, u[None])) is not None:
+                        raise failed[1]
                 else:
                     stats["rejected_steps"] += 1
                     if stats["rejected_steps"] > MAX_STEPS:
@@ -312,5 +308,6 @@ def _adaptive(u, lo, hi, schedule, cfg, operator, nl) -> SimulationResult:
                 # a boundary-clipped step must not shrink the controller state
                 dt = max(dt, dt_next) if (clipped and accepted) else dt_next
             states.append(u)
+    stats["u_min"], stats["u_max"] = bounds[0]
     stats["wall_time_s"] = time.perf_counter() - wall0
     return SimulationResult(schedule.copy(), np.array(states), operator.grid, nl, stats)

@@ -44,7 +44,7 @@ from fracfront import (
     write_snapshot_csv,
 )
 from fracfront.cli import build_parser, float_list, main
-from fracfront.runio import build_manifest
+from fracfront.runio import MANIFEST_KEYS, build_manifest
 
 def _repr_csv(header, x, y) -> bytes:
     """Reference two-column CSV, written value by value with repr."""
@@ -159,6 +159,21 @@ class TestManifest:
         assert m["stats"]["solver"] == "dense-inverse"
         assert m["stats"]["solver_setup_s"] > 0
         assert "speed" in m["diagnostics"] and "decay_rate" in m["diagnostics"]
+
+    @pytest.mark.parametrize("stepper", ["semi-implicit", "rk-adaptive"])
+    def test_simulate_writes_every_schema_key(self, tmp_path, stepper):
+        out = tmp_path / "run"
+        assert main(["simulate", "--alpha", "1.7", "--theta", "0.2", "--n", "41",
+                     "--b", "10", "--t-final", "1", "--snapshots", "3",
+                     "--stepper", stepper, "--out", str(out)]) == 0
+        m = json.loads((out / "manifest.json").read_text())
+        # a semi-implicit run also names its solver and times its setup
+        solver = ("solver", "solver_setup_s") if stepper == "semi-implicit" else ()
+        schema = {**MANIFEST_KEYS, "stats": MANIFEST_KEYS["stats"] + solver}
+        assert m.keys() == schema.keys()
+        for key, section in schema.items():
+            if section:   # version and numpy are strings
+                assert set(m[key]) == set(section), key
 
     def test_classical_endpoint_has_null_coefficients(self, tmp_path):
         config = RunConfig(alpha=2.0, theta=0.0, n=41, b=10.0, t_final=0.5,
@@ -551,7 +566,9 @@ class TestExitCodes:
         ("alpha = 1.5\ntheta 0\n", ":2: expected 'key = value'"),
         ("alpha = 1.5\ntheta = 0\ntail_correction = maybe\n",
          ":3: tail_correction: expected a boolean"),
-    ], ids=["lines-after-blank-and-comment", "no-equals", "bad-boolean"])
+        ("alpha = 1.5\ntheta = 0\ndt = 0.02\ndt = 0.05\n", ":4: 'dt' is given twice"),
+    ], ids=["lines-after-blank-and-comment", "no-equals", "bad-boolean",
+            "repeated-key"])
     def test_config_file_bad_line_exits_2(self, tmp_path, capsys, text, where):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)

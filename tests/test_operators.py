@@ -279,6 +279,21 @@ _property = settings(max_examples=40, deadline=None, derandomize=True,
 
 
 class TestStencilProperties:
+    @pytest.mark.parametrize("n,weights,match", [
+        (21, np.zeros(4), r"^weights have shape \(4,\), not \(2M \+ 1,\) with M < n = 21$"),
+        (21, np.zeros((3, 3)), r"^weights have shape \(3, 3\),"),
+        (21, np.zeros(43), r"^weights have shape \(43,\),"),   # M = n
+        (21, np.array([1.0, 0.5, 1.0]), r"^centre weight is 0\.5, not 0$"),
+        (21, np.array([1.0, -2.0, 1.0]), r"^centre weight is -2, not 0$"),
+        (1003, np.array([1.0, 3.0, 1.0]), r"^centre weight is 3, not 0$"),
+    ], ids=["length-4", "3x3", "length-2n+1", "centre-0.5", "centre-minus-2",
+            "toeplitz-centre-3"])
+    def test_malformed_stencil_is_refused(self, n, weights, match):
+        # the diagonal is -row_sum: with a nonzero centre, matvec and entries
+        # agree, but factorization(dt) solved another system
+        with pytest.raises(OutOfRangeError, match=match):
+            OperatorMatrix(Grid1D(10.0, n), weights)
+
     @_property
     @given(_schemes())
     def test_dense_fft_and_apply_agree(self, scheme):

@@ -597,6 +597,38 @@ class TestIntegrateGroup:
                         BistableCubic(0.5))
         assert len(built) == 2 and run.stats["steps"] == 5
 
+    def test_a_run_that_fails_late_yields_the_runs_before_it(self, monkeypatch):
+        # a = 0.5 blows up as u' = 2 u^2 after half the schedule's steps: the
+        # runs before it re-run as a group of their own, one solver alive at
+        # a time, and a = 0.4 never yields
+        cubic, step = BistableCubic.f, fracfront.stepping.step_semi_implicit
+        factorization = OperatorMatrix.factorization
+        monkeypatch.setattr(BistableCubic, "f", lambda self, u: np.where(
+            np.asarray(self.a) == 0.5, 2 * u * u, cubic(self, u)))
+        steps, built = [], []
+        monkeypatch.setattr(fracfront.stepping, "step_semi_implicit",
+                            lambda *args: steps.append(1) or step(*args))
+
+        def tracking(self, dt):
+            assert all(ref() is None for ref in built)
+            solve = factorization(self, dt)
+            built.append(weakref.ref(solve))
+            return solve
+
+        monkeypatch.setattr(OperatorMatrix, "factorization", tracking)
+        g, p = Grid1D(10.0, 41), FractionalParams(1.6, 0.2)
+        sched, cfg = make_schedule(1.0, 4), StepperConfig(dt=0.05)
+        runs = integrate_group(chen_ramp(g.x), sched, cfg, assemble_operator_matrix(g, p),
+                               [BistableCubic(a) for a in (0.3, 0.7, 0.5, 0.4)])
+        first, second = next(runs), next(runs)
+        with pytest.raises(FracfrontError, match=r"^\|u\| reached "):
+            next(runs)
+        assert next(runs, None) is None
+        planned = first.stats["steps"]   # the re-run's
+        assert planned / 2 < len(steps) - planned < planned and len(built) == 2
+        for run, a in ((first, 0.3), (second, 0.7)):
+            _same_run(integrate(chen_ramp(g.x), sched, cfg, g, p, BistableCubic(a)), run)
+
     def test_above_the_dense_limit(self):
         n = (DENSE_INVERSE_MAX_N + 1) | 1
         cfg = StepperConfig(method="semi-implicit", dt=0.02)
