@@ -186,15 +186,16 @@ def _cmd_sweep(parser, args) -> int:
     return 0
 
 
-def _run_group(group: list) -> tuple[list, Exception | None]:
+def _run_group(group: list) -> tuple[list, BaseException | None]:
     """Run ``group`` as one integration on the operator of its (alpha, theta)
     (``run_simulations``): the summary lines of the configurations written,
-    and the error that stopped the rest (None if none did)."""
+    and the exception that stopped the rest, whatever it is (None if none
+    did), so that it follows those lines; ``main`` alone filters errors."""
     lines = []
     try:
         for config, (result, diag) in zip(group, run_simulations(group)):
             lines.append(_write(config, result, diag))
-    except (FracfrontError, OSError, MemoryError) as exc:
+    except BaseException as exc:
         return lines, exc
     return lines, None
 
@@ -202,9 +203,9 @@ def _run_group(group: list) -> tuple[list, Exception | None]:
 def _run_groups(groups: list) -> None:
     """Run the groups, in forked children (``_forked``) if there are two or
     more, two or more CPUs and ``os.fork``; print each group's lines in
-    configuration order once it is done.  The first error in that order is
-    raised once the lines before it are printed.  After it no group starts;
-    groups a child has started still finish."""
+    configuration order once it is done.  The first exception in that order,
+    whatever it is, is raised once the lines before it are printed.  After it
+    no group starts; groups a child has started still finish."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     # in-process a group runs only once the last is printed
     outcomes = (_forked(groups, cpus)
@@ -223,9 +224,9 @@ def _run_groups(groups: list) -> None:
 def _forked(groups: list, cpus: int):
     """Yield each group's ``_run_group`` outcome in configuration order, the
     group run in a child forked for it once fewer than ``cpus`` are alive.
-    The child pickles its outcome, or the exception raised (re-raised here),
-    into its own pipe and leaves by ``os._exit``; a pipe that closes without
-    a whole outcome yields a dead worker's error.  Closed, the generator
+    The child pickles its outcome, lines and exception alike, into its own
+    pipe and leaves by ``os._exit``; a pipe that closes without a whole
+    outcome yields a dead worker's error.  Closed, the generator
     starts no group and reaps the children it started, and only those."""
     import select   # here only: an in-process run never loads it
     pending, running, done = iter(enumerate(groups)), {}, {}   # running: fd: (pid, i)
@@ -244,12 +245,8 @@ def _forked(groups: list, cpus: int):
                         try:
                             for fd in (read, *running):
                                 os.close(fd)
-                            try:
-                                outcome = _run_group(group)
-                            except BaseException as exc:
-                                outcome = exc
                             with os.fdopen(write, "wb") as pipe:
-                                pickle.dump(outcome, pipe)
+                                pickle.dump(_run_group(group), pipe)
                         finally:
                             os._exit(0)
                     os.close(write)
@@ -265,9 +262,7 @@ def _forked(groups: list, cpus: int):
                         done[j] = [], FracfrontError(
                             f"sweep group alpha={groups[j][0].alpha:g} theta="
                             f"{groups[j][0].theta:g}: a worker process ended abruptly")
-            if isinstance(outcome := done.pop(i), BaseException):
-                raise outcome
-            yield outcome
+            yield done.pop(i)
     finally:
         for fd, (pid, _) in running.items():
             os.close(fd)

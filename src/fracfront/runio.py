@@ -252,11 +252,12 @@ def read_config_file(path) -> dict:
     """Parse a ``key = value`` file into RunConfig keyword arguments.
 
     Unknown and repeated keys are errors (fail loud), and so is ``out``: the
-    output directory is always the ``--out`` flag.  '#' starts a comment.
+    output directory is always the ``--out`` flag.  '#' starts a comment; a
+    leading UTF-8 byte-order mark is ignored.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise FracfrontError(f"{path}: cannot read config file: {exc}") from exc
     out = {}

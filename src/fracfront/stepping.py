@@ -218,7 +218,8 @@ def integrate_group(ic, schedule, cfg, operator, nls):
     time; rk-adaptive clips its proposals at each time and steps each run
     alone.  A run's states and stats are its lone run's, bit for bit, timings
     aside (``integrate``).  A run past 1e6 or NaN raises ``FracfrontError``
-    once the runs before it, stepped without it, are yielded; the rest stop.
+    once the runs before it are yielded, re-run from their starting states
+    after the failed stack's snapshots are released; the rest stop.
     """
     schedule = _check_schedule(schedule)
     if any(type(nl) is not BistableCubic for nl in nls):   # a subclass may override f
@@ -260,10 +261,11 @@ def integrate_group(ic, schedule, cfg, operator, nls):
         for _ in range(count):
             u = step_semi_implicit(u, step, solve, nl)
             if (failed := _widen(bounds, u)) is not None:
-                # the runs before it re-run as a group of their own; those after stop
-                j, solve = failed[0], None
-                yield from integrate_group(states[:j, 0], schedule, cfg,
-                                           operator, nls[:j])
+                # the runs before it re-run from their starting states, this
+                # stack's snapshots and solver released first; those after stop
+                j = failed[0]
+                ic, states, u, solve = states[:j, 0].copy(), None, None, None
+                yield from integrate_group(ic, schedule, cfg, operator, nls[:j])
                 raise failed[1]
         states[:, i] = u
     stats = {"steps": int(counts.sum()), "rejected_steps": 0,

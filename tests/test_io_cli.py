@@ -251,6 +251,9 @@ class TestConfigFile:
         values = read_config_file(cfg)
         assert values == {"alpha": 1.5, "theta": -0.2, "n": 91,
                           "tail_correction": True, "ic": "chen"}
+        # as some Windows editors save it: a byte-order mark before the text
+        cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+        assert read_config_file(cfg) == values
 
     def test_out_key_is_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -1296,10 +1299,17 @@ class TestParallelSweepErrors:
         with pytest.raises(ChildProcessError):   # a child started is reaped
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("cpus", [2, 1])
+    # raised at each group's first configuration, or at its second, once the
+    # first is written: its line is printed before the exception propagates
+    @pytest.mark.parametrize("cpus,written", [
+        pytest.param(2, 0, id="2"), pytest.param(1, 0, id="1"),
+        pytest.param(2, 1, id="2-second"), pytest.param(1, 1, id="1-second")])
     def test_uncaught_exception_reaches_the_caller(self, tmp_path, capfd,
-                                                   monkeypatch, cpus):
+                                                   monkeypatch, cpus, written):
         def divide(configs):
+            outcomes = run_simulations(configs)
+            for _ in range(written):
+                yield next(outcomes)
             yield 1 / 0
 
         _cpus(monkeypatch, cpus)
@@ -1307,7 +1317,30 @@ class TestParallelSweepErrors:
         with pytest.raises(ZeroDivisionError):
             TestParallelSweep()._sweep(tmp_path)
         captured = capfd.readouterr()
-        assert captured.out == "" and "worker process" not in captured.err
+        first = tmp_path / "alpha1.5_theta-0.1_a0.4"
+        lines = [f"wrote {first}/snapshots.csv"][:written]
+        assert [line.split(" and ")[0] for line in captured.out.splitlines()] == lines
+        assert (first / "manifest.json").exists() == bool(written)
+        assert "worker process" not in captured.err
+
+    def test_an_outcome_larger_than_a_pipe_buffer_arrives_whole(
+            self, tmp_path, capfd, monkeypatch):
+        write = fracfront.cli._write
+        monkeypatch.setattr("fracfront.cli._write",
+                            lambda *args: write(*args) + "." * 200_000)
+        _cpus(monkeypatch, 2)
+        _record_pid(monkeypatch)
+        assert main(["sweep", "--alphas", "1.5", "--thetas=-0.1,0.1",
+                     "--a-list", "0.4", "--n", "61", *TestParallelSweep.FLAGS,
+                     "--out", str(tmp_path)]) == 0
+        lines = capfd.readouterr().out.splitlines()
+        runs = [tmp_path / f"alpha1.5_theta{theta}_a0.4" for theta in ("-0.1", "0.1")]
+        assert [line.split()[1] for line in lines] == [
+            f"{run}/snapshots.csv" for run in runs]
+        assert all(line.endswith(")" + "." * 200_000) for line in lines)
+        pids = {json.loads((run / "manifest.json").read_text())["diagnostics"]["pid"]
+                for run in runs}
+        assert len(pids) == 2 and os.getpid() not in pids   # each group forked
 
     def test_out_of_range_error_pickles_with_its_param(self):
         exc = pickle.loads(pickle.dumps(OutOfRangeError("too large", "dt")))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -628,6 +629,32 @@ class TestIntegrateGroup:
         assert planned / 2 < len(steps) - planned < planned and len(built) == 2
         for run, a in ((first, 0.3), (second, 0.7)):
             _same_run(integrate(chen_ramp(g.x), sched, cfg, g, p, BistableCubic(a)), run)
+
+    def test_a_failing_group_holds_no_more_than_a_passing_one(self):
+        # the third run starts 25 times too high and blows up; the two before
+        # it re-run once the failed stack's snapshots and solver are released
+        g = Grid1D(30.0, 1601)
+        A = assemble_operator_matrix(g, FractionalParams(1.7, 0.2))
+        A.factorization(0.01)   # warm up the operator's cached spectra and folds
+        sched, cfg = make_schedule(2.0, 21), StepperConfig(dt=0.01)
+        nls = [BistableCubic(a) for a in (0.3, 0.4, 0.6, 0.7)]
+
+        def peak(scale):
+            ics = np.array([chen_ramp(g.x)] * len(nls))
+            ics[2] *= scale
+            runs = []
+            tracemalloc.start()
+            try:
+                runs.extend(integrate_group(ics, sched, cfg, A, nls))
+            except FracfrontError as exc:
+                assert str(exc).startswith("|u| reached ")
+            finally:
+                _, top = tracemalloc.get_traced_memory()
+                tracemalloc.stop()
+            assert len(runs) == (len(nls) if scale == 1 else 2)
+            return top
+
+        assert peak(25) <= 1.05 * peak(1)
 
     def test_above_the_dense_limit(self):
         n = (DENSE_INVERSE_MAX_N + 1) | 1
